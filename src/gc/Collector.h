@@ -27,9 +27,9 @@
 #include <thread>
 
 #include "gc/CyclePhase.h"
-#include "gc/CycleStats.h"
 #include "gc/HeapVerifier.h"
 #include "gc/ParallelTrace.h"
+#include "obs/CycleStats.h"
 #include "obs/GcObserver.h"
 #include "obs/ObsRegistry.h"
 #include "gc/Sweeper.h"
@@ -73,22 +73,22 @@ struct CollectorConfig {
   bool CardSummaryScan = true;
 
   /// Number of GC worker lanes for the parallel cycle phases (card scan,
-  /// trace, sweep).  1 (the default) spawns no pool threads and runs the
-  /// historical single-threaded algorithms bit-identically; N > 1 spawns
-  /// N - 1 persistent pool threads that assist the collector thread.
-  /// Mutator-facing machinery (handshakes, write barrier, color toggle) is
-  /// unaffected by this knob.
+  /// trace, sweep).  1 (the default) spawns no pool threads; N > 1 spawns
+  /// N - 1 persistent pool threads that assist the collector thread.  Every
+  /// lane count runs the same phase code and reports the same collection
+  /// counts (DeterminismTest; DESIGN.md §9 names the shard-boundary counts
+  /// that may only grow with lanes).  Mutator-facing machinery
+  /// (handshakes, write barrier, color toggle) is unaffected by this knob.
   unsigned GcThreads = 1;
 
   /// Trace prefetch window depth: each trace lane pops up to this many
   /// gray refs ahead and software-prefetches their color byte and header
   /// line before tracing the current one, overlapping the mark loop's
   /// cache misses (see DESIGN.md §17).  0 disables the window and traces
-  /// in the exact historical LIFO order — GcThreads = 1 with depth 0 is
-  /// bit-identical to the pre-window engine.  Validated to at most
-  /// Tracer::MaxPrefetchDepth (64); forced to 0 in builds where the
-  /// GENGC_PREFETCH probe failed.  All trace statistics are
-  /// order-independent, so any depth produces identical CycleStats.
+  /// in plain LIFO order, the reference the window is tested against.
+  /// Validated to at most Tracer::MaxPrefetchDepth (64); forced to 0 in
+  /// builds where the GENGC_PREFETCH probe failed.  All trace statistics
+  /// are order-independent, so any depth produces identical CycleStats.
   unsigned PrefetchDepth = 4;
 
   /// Observability subsystem configuration (see obs/Event.h).  Metrics are

@@ -5,22 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The parallel trace stage.  Each GcWorkerPool lane runs its own Tracer
-/// engine over a private segmented gray stack; surplus work moves between
-/// lanes as whole TraceSegments through a shared TraceWorkList (steal = pop
-/// one segment pointer).  All mutator-facing machinery is untouched:
-/// mutators shade through the same write barriers into the same shared gray
-/// buffer, every color transition funnels through Heap::casColor, and the
-/// termination protocol is the paper-faithful one the single-threaded
-/// tracer used — wait out in-flight shades, drain the gray buffer, then run
-/// verification scans of the color side-table until one finds no gray
-/// object.  The verification scan itself is sharded across the pool lanes
-/// over the allocated block ranges (DESIGN.md §17 sketches why that is
-/// equivalent to the historical full-table leader scan).
+/// The trace stage at every lane count.  Each GcWorkerPool lane runs its
+/// own Tracer engine over a private segmented gray stack; surplus work
+/// moves between lanes as whole TraceSegments through a shared
+/// TraceWorkList (steal = pop one segment pointer).  All mutator-facing
+/// machinery is untouched: mutators shade through the same write barriers
+/// into the same shared gray buffer, every color transition funnels
+/// through Heap::casColor, and the termination protocol is the paper's —
+/// wait out in-flight shades, drain the gray buffer, then run verification
+/// scans of the color side-table until one finds no gray object.  The
+/// verification scan is sharded across the pool lanes over the allocated
+/// block ranges (DESIGN.md §17 sketches why that finds every gray a
+/// full-table scan would).
 ///
-/// With one lane, ParallelTracer delegates to the historical Tracer::trace
-/// verbatim, so GcThreads = 1 is bit-identical to the single-threaded
-/// collector.
+/// One lane runs the same engine as N; with no sibling to offload to, it
+/// moves no work through the shared list.  Determinism is defined by the
+/// counts: a workload reports the same collection counts at every lane
+/// count (DeterminismTest; DESIGN.md §9 names the shard-boundary counts
+/// that may only grow with lanes).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,10 +48,6 @@ namespace gengc {
 /// mid-cycle.
 class TraceWorkList {
 public:
-  /// Number of object refs per stealable unit (segment capacity); kept
-  /// under its historical name for the offload-threshold arithmetic.
-  static constexpr size_t ChunkRefs = TraceSegment::Capacity;
-
   /// Deposits one segment for stealing; the list takes ownership of the
   /// pointer until a thief attaches it to its own stack.
   void push(TraceSegment *S) {
@@ -98,7 +96,8 @@ private:
   std::atomic<uint64_t> Steals{0};
 };
 
-/// The parallel trace driver; owned by a collector, reused across cycles.
+/// Runs the trace at every lane count; owned by a collector, reused across
+/// cycles.
 class ParallelTracer {
 public:
   struct Result {
@@ -132,7 +131,11 @@ public:
   /// lane rings.  Called once at collector construction.
   void setObs(ObsRegistry *Registry);
 
-  /// Traces to completion (see Tracer::trace for the color contract).
+  /// Traces to completion.  \p BlackColor is the color that marks a fully
+  /// traced object: Color::Black for the generational collectors, the
+  /// current allocation color for the non-generational baseline (black and
+  /// white toggle, Remark 5.1).  Shades of the sons from the clear color
+  /// are recorded in \p Counters.
   Result trace(Color BlackColor, GrayCounters &Counters);
 
   /// The collector-wide segment pool (metrics gauges).

@@ -175,13 +175,6 @@ void Sweeper::flushChains() {
   }
 }
 
-Sweeper::Result Sweeper::sweep(SweepMode Mode, uint8_t OldestAge) {
-  Result R;
-  sweepBlockRange(Mode, OldestAge, 0, H.numBlocks(), R);
-  flushChains();
-  return R;
-}
-
 ParallelSweepResult gengc::sweepParallel(Heap &H, CollectorState &S,
                                          GcWorkerPool &Pool,
                                          const SweepPlan &Plan,

@@ -27,7 +27,7 @@
 /// block-index ranges across GcWorkerPool lanes.  Each lane drives its own
 /// Sweeper engine whose freed cells accumulate into per-lane CellChain
 /// batches, so Heap::pushFreeChain contention stays bounded by the batch
-/// size exactly as in the single-threaded sweep.
+/// size at any lane count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,11 +44,11 @@
 
 namespace gengc {
 
-/// One sweep engine.  Historically the singleton owned by a collector; now
-/// a per-worker engine: each lane of a parallel sweep drives its own
-/// Sweeper over the block ranges it claims, and the lazy-sweep path
-/// constructs one transiently per claimed block (construction is free: the
-/// per-shard chain table is only materialized by the range API).
+/// One sweep engine per worker: each lane of sweepParallel (the collector's
+/// eager sweep) drives its own Sweeper over the block ranges it claims, and
+/// the lazy-sweep path constructs one transiently per claimed block
+/// (construction is free: the per-shard chain table is only materialized
+/// by the range API).
 class Sweeper {
 public:
   struct Result {
@@ -72,10 +72,6 @@ public:
   };
 
   Sweeper(Heap &H, CollectorState &S) : H(H), State(S) {}
-
-  /// Sweeps the whole heap.  \p OldestAge is the tenuring threshold (aging
-  /// mode only).
-  Result sweep(SweepMode Mode, uint8_t OldestAge);
 
   /// Per-lane API: sweeps blocks [\p BlockBegin, \p BlockEnd), accumulating
   /// into \p R and this engine's pending free chains.  Call flushChains()

@@ -120,9 +120,9 @@ private:
 };
 
 /// A lane-private LIFO gray stack built from pooled segments.  push/pop at
-/// the top reproduce the exact order of the historical vector stack (the
-/// GcThreads = 1 determinism contract); detachBottom and attachSegment are
-/// the O(1) offload/steal primitives.
+/// the top keep the exact order of a vector stack (TraceSegmentTest pins
+/// it); detachBottom and attachSegment are the O(1) offload/steal
+/// primitives.
 class SegmentedGrayStack {
 public:
   explicit SegmentedGrayStack(TraceSegmentPool &P) : Pool(&P) {}

@@ -1,4 +1,4 @@
-//===- gc/Tracer.cpp - Concurrent tri-color trace --------------------------===//
+//===- gc/Tracer.cpp - Per-lane tri-color trace engine ---------------------===//
 //
 // Part of the gengc project (PLDI 2000 generational on-the-fly GC repro).
 //
@@ -61,26 +61,27 @@ void Tracer::markBlack(ObjectRef Ref, Color BlackColor, GrayCounters &Counters,
     flushCounters(Counters);
 }
 
-void Tracer::drainLocal(TraceWorkList *Shared, unsigned Lanes,
+void Tracer::drainLocal(TraceWorkList &Shared, unsigned Lanes,
                         Color BlackColor, GrayCounters &Counters, Result &R) {
-  // Offload the oldest segment when the local stack has plenty and the
-  // shared list is not already saturated: an O(1) pointer swap — the old
-  // vector engine paid an O(n) front-erase here, which must not come back
-  // (WorkerPoolTest pins the zero-copy steal, micro_trace_scale the cost).
+  // Offload the oldest segment when the local stack has plenty and fewer
+  // segments are parked than there are sibling lanes to take them, so a
+  // lone lane never offloads (it could only steal the segment back).  An
+  // O(1) pointer swap — the old vector engine paid an O(n) front-erase
+  // here, which must not come back (WorkerPoolTest pins the zero-copy
+  // steal, micro_trace_scale the cost).
   auto MaybeOffload = [&] {
-    if (Shared == nullptr ||
-        Stack.size() < 2 * size_t(TraceSegment::Capacity) ||
-        Shared->approxSegments() >= Lanes)
+    if (Stack.size() < 2 * size_t(TraceSegment::Capacity) ||
+        Shared.approxSegments() >= Lanes - 1)
       return;
     if (TraceSegment *S = Stack.detachBottom()) {
-      Shared->push(S);
+      Shared.push(S);
       ++R.Offloads;
     }
   };
 
   if (PrefetchDepth == 0) {
-    // Historical pop order, no window: GcThreads = 1 with PrefetchDepth = 0
-    // is bit-identical to the pre-segment engine.
+    // Plain LIFO pop order, no window: the reference loop the determinism
+    // tests hold the prefetch window against.
     while (!Stack.empty()) {
       MaybeOffload();
       markBlack(Stack.pop(), BlackColor, Counters, R);
@@ -108,20 +109,13 @@ void Tracer::drainLocal(TraceWorkList *Shared, unsigned Lanes,
   flushCounters(Counters);
 }
 
-void Tracer::drain(Color BlackColor, GrayCounters &Counters, Result &R) {
-  do {
-    drainLocal(/*Shared=*/nullptr, /*Lanes=*/0, BlackColor, Counters, R);
-    // Pick up objects shaded concurrently by mutator write barriers.
-  } while (State.Grays.drainEach([&](ObjectRef Ref) { Stack.push(Ref); }));
-}
-
 void Tracer::drainShared(TraceWorkList &Shared, std::atomic<unsigned> &NumIdle,
                          unsigned Lanes, Color BlackColor,
                          GrayCounters &Counters, Result &R) {
   for (;;) {
     // drainLocal leaves the window empty and the counters flushed, so an
     // idle vote below never hides work or statistics from the leader.
-    drainLocal(&Shared, Lanes, BlackColor, Counters, R);
+    drainLocal(Shared, Lanes, BlackColor, Counters, R);
     if (TraceSegment *S = Shared.steal()) {
       if (Obs)
         Obs->instant(ObsEventKind::TraceSteal, nowNanos(), S->Count);
@@ -142,51 +136,6 @@ void Tracer::drainShared(TraceWorkList &Shared, std::atomic<unsigned> &NumIdle,
       if (NumIdle.load(std::memory_order_acquire) == Lanes)
         return;
       std::this_thread::yield();
-    }
-  }
-}
-
-Tracer::Result Tracer::trace(Color BlackColor, GrayCounters &Counters) {
-  Result R;
-  PageTouchTracker &Pages = H.pages();
-
-  // Main trace: everything shaded so far (roots, dirty-card scans) and
-  // everything mutators shade while we run arrives through the gray
-  // buffer.  This is O(objects traced), independent of the heap size —
-  // the property that makes partial collections cheap.
-  State.Grays.drainEach([&](ObjectRef Ref) { Stack.push(Ref); });
-  drain(BlackColor, Counters, R);
-
-  const AtomicByteTable &Colors = H.colors();
-  for (;;) {
-    // Termination, step 1: wait out shades whose buffer enqueue is still
-    // in flight, then re-drain anything they published.
-    while (State.InFlightShades.load(std::memory_order_acquire) != 0)
-      std::this_thread::yield();
-    if (State.Grays.drainEach([&](ObjectRef Ref) { Stack.push(Ref); })) {
-      drain(BlackColor, Counters, R);
-      continue;
-    }
-
-    // Termination, step 2: one verification scan of the color side-table
-    // — "while there is a gray object" made literal.  Normally finds
-    // nothing; word hints skip clean regions eight granules at a time.
-    ++R.Passes;
-    uint64_t ScanStart = nowNanos();
-    bool FoundGray = false;
-    Pages.touchRange(Region::ColorTable, 0, Colors.size());
-    Colors.forEachEntryEqualInRange(
-        0, Colors.size(), uint8_t(Color::Gray), [&](size_t I) {
-          FoundGray = true;
-          // Only object-start granules ever receive a color, so the
-          // granule index converts directly to a reference.
-          markBlack(ObjectRef(I << GranuleShift), BlackColor, Counters, R);
-          drain(BlackColor, Counters, R);
-        });
-    R.TermScanNanos += nowNanos() - ScanStart;
-    if (!FoundGray) {
-      flushCounters(Counters);
-      return R;
     }
   }
 }

@@ -1,27 +1,27 @@
-//===- gc/Tracer.h - Concurrent tri-color trace -----------------*- C++ -*-===//
+//===- gc/Tracer.h - Per-lane tri-color trace engine ------------*- C++ -*-===//
 //
 // Part of the gengc project (PLDI 2000 generational on-the-fly GC repro).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The trace stage: "While there is a gray object: pick a gray object x;
-/// MarkBlack(x)" (Figure 2).  The paper leaves the mechanism for finding
-/// gray objects unspecified ("we do not present details of the mechanism
-/// for keeping track of the objects remaining to be traced"); ours combines
-/// a collector-private mark stack for objects the collector shades itself
-/// with fixpoint rescans of the color side-table to pick up objects shaded
-/// concurrently by mutator write barriers.  Because every shade writes the
-/// gray color *before* anything else, a full scan of the color table that
-/// finds no gray object (with an empty stack) proves the trace is complete.
+/// The trace stage's per-lane engine: "While there is a gray object: pick a
+/// gray object x; MarkBlack(x)" (Figure 2).  The paper leaves the mechanism
+/// for finding gray objects unspecified ("we do not present details of the
+/// mechanism for keeping track of the objects remaining to be traced");
+/// ours gives every GcWorkerPool lane a private mark stack for the objects
+/// it shades itself, and ParallelTracer (ParallelTrace.h) drives the lanes
+/// through fixpoint rescans of the color side-table that pick up objects
+/// shaded concurrently by mutator write barriers.  Because every shade
+/// writes the gray color *before* anything else, a scan that finds no gray
+/// object (with every stack empty) proves the trace is complete.
 ///
 /// The hot path is packet-structured (DESIGN.md §17): the mark stack is a
 /// chain of pooled TraceSegments, work moves between lanes as O(1) segment
 /// swaps, shade accounting batches into lane-local counters flushed once
 /// per segment, and an optional bounded prefetch window warms the color
 /// byte and header line of upcoming gray refs while the current one is
-/// traced.  Depth 0 bypasses the window entirely and reproduces the
-/// historical pop order exactly.
+/// traced.  Depth 0 bypasses the window and traces in plain LIFO order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +29,6 @@
 #define GENGC_GC_TRACER_H
 
 #include <atomic>
-#include <vector>
 
 #include "gc/TraceSegment.h"
 #include "heap/Heap.h"
@@ -41,39 +40,31 @@ namespace gengc {
 
 class TraceWorkList;
 
-/// One trace engine.  Historically the singleton owned by a collector; now
-/// a per-worker engine: each GcWorkerPool lane drives its own Tracer with a
-/// private segmented gray stack, coordinating with its siblings only
-/// through the shared TraceWorkList (segment-granularity work stealing)
-/// and the color side-table CASes it already used.  ParallelTrace.h owns
-/// the fan-out; the single-lane trace() below remains the complete,
-/// self-contained single-threaded algorithm.
+/// One lane's trace engine.  Each GcWorkerPool lane drives its own Tracer
+/// with a private segmented gray stack, coordinating with its siblings only
+/// through the shared TraceWorkList (segment-granularity work stealing) and
+/// the color side-table CASes.  ParallelTracer owns the lanes and the
+/// termination protocol at every lane count.
 class Tracer {
 public:
   /// Upper bound on the prefetch window (a power of two: the window ring
   /// masks with it).  Also the RuntimeConfig::validate bound.
   static constexpr unsigned MaxPrefetchDepth = 64;
 
+  /// One lane's share of a trace.
   struct Result {
     /// Number of MarkBlack executions ("objects scanned" of Figure 11).
     uint64_t ObjectsTraced = 0;
     /// Their storage footprint.
     uint64_t BytesTraced = 0;
-    /// Number of color-table passes until the clean pass.
-    uint64_t Passes = 0;
-    /// Wall time inside the termination verification scans (a subset of
-    /// the total trace time; the sharded-scan speedup shows up here).
-    uint64_t TermScanNanos = 0;
     /// Segments this lane offloaded to the shared work list.
     uint64_t Offloads = 0;
   };
 
-  /// \p SharedPool is the collector-wide segment pool (ParallelTracer's);
-  /// standalone engines (tests) pass nothing and use a private pool.
-  explicit Tracer(Heap &H, CollectorState &S,
-                  TraceSegmentPool *SharedPool = nullptr)
-      : H(H), State(S), Pool(SharedPool ? SharedPool : &OwnedPool),
-        Stack(*Pool) {}
+  /// \p Pool is the collector-wide segment pool (ParallelTracer's) that
+  /// this lane's gray stack borrows from.
+  Tracer(Heap &H, CollectorState &S, TraceSegmentPool &Pool)
+      : H(H), State(S), Stack(Pool) {}
 
   /// Enables aging-mode card maintenance during the trace: when MarkBlack
   /// blackens an object whose age equals \p OldestAge (it will be tenured
@@ -98,23 +89,23 @@ public:
   /// ahead and their color byte + header line prefetched before they are
   /// traced.  Clamped to [0, MaxPrefetchDepth]; forced to 0 in builds
   /// without GENGC_PREFETCH (a window without prefetch is pure overhead).
-  /// Depth 0 traces in the exact historical LIFO order.
+  /// Depth 0 traces in plain LIFO order.
   void setPrefetchDepth(unsigned Depth);
 
-  /// Traces to completion.  \p BlackColor is the color that marks a fully
-  /// traced object: Color::Black for the generational collectors, the
-  /// current allocation color for the non-generational baseline (black and
-  /// white toggle, Remark 5.1).  Shades of the sons from the clear color
-  /// are recorded in \p Counters.
-  Result trace(Color BlackColor, GrayCounters &Counters);
+  /// Queues the gray object \p Ref on this lane's stack.  Only between
+  /// drainShared runs: the stack is lane-private while one is in progress.
+  void push(ObjectRef Ref) { Stack.push(Ref); }
 
-  /// Parallel-lane drain: blackens everything on this engine's stack,
-  /// offloading surplus segments to \p Shared when siblings are hungry and
+  /// Blackens everything on this engine's stack, offloading surplus
+  /// segments to \p Shared while a sibling lane could take them and
   /// stealing segments back when the local stack runs dry.  Returns once
   /// all \p Lanes engines are idle with the shared list empty (the
-  /// \p NumIdle counter implements the termination consensus).  Color
-  /// transitions go through the same CASes as the single-threaded path, so
-  /// the mutator-graying vs. collector race argument is unchanged.
+  /// \p NumIdle counter implements the termination consensus).  Every
+  /// color transition goes through the heap's CASes, so the
+  /// mutator-graying vs. collector race argument is the same at any lane
+  /// count.  \p BlackColor is the color that marks a fully traced object
+  /// (see ParallelTracer::trace); shades of the sons from the clear color
+  /// are recorded in \p Counters.
   void drainShared(TraceWorkList &Shared, std::atomic<unsigned> &NumIdle,
                    unsigned Lanes, Color BlackColor, GrayCounters &Counters,
                    Result &R);
@@ -125,15 +116,11 @@ private:
   void markBlack(ObjectRef Ref, Color BlackColor, GrayCounters &Counters,
                  Result &R);
 
-  /// Blackens everything on the local stack (and, with \p Shared non-null,
-  /// offloads surplus bottom segments while ahead).  Leaves the batched
-  /// shade counters flushed.
-  void drainLocal(TraceWorkList *Shared, unsigned Lanes, Color BlackColor,
+  /// Blackens everything on the local stack, offloading surplus bottom
+  /// segments to \p Shared while ahead.  Leaves the batched shade counters
+  /// flushed.
+  void drainLocal(TraceWorkList &Shared, unsigned Lanes, Color BlackColor,
                   GrayCounters &Counters, Result &R);
-
-  /// Drains the mark stack, blackening everything on it, then re-drains
-  /// the shared gray buffer until both are empty.
-  void drain(Color BlackColor, GrayCounters &Counters, Result &R);
 
   /// Publishes the batched FromClear counts into \p Counters.  Batching is
   /// statistics-only: termination never reads these counters, so deferring
@@ -153,10 +140,6 @@ private:
   Heap &H;
   CollectorState &State;
   EventRing *Obs = nullptr;
-  /// Private pool backing standalone engines; unused when a shared pool
-  /// was injected.  Declared before Stack, which borrows from it.
-  TraceSegmentPool OwnedPool;
-  TraceSegmentPool *Pool;
   SegmentedGrayStack Stack;
   unsigned PrefetchDepth = 0;
   /// Shade accounting batched per segment (see flushCounters).

@@ -12,9 +12,9 @@
 ///
 /// The pool exposes "lanes": lane 0 is always the calling (collector)
 /// thread, lanes 1..N-1 are pool threads.  With a single lane no thread is
-/// ever spawned and run() degenerates to a plain call — the GcThreads = 1
-/// configuration is bit-identical to the historical single-threaded
-/// collector, which the determinism tests rely on.
+/// ever spawned and run() degenerates to a plain call.  The phases run the
+/// same code at every lane count; determinism means a workload reports the
+/// same collection counts whatever the lane count (DeterminismTest).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,8 +9,7 @@
 /// collection cycle and aggregated per run.  The statistics vocabulary
 /// lives in obs/ (the observability subsystem) so that the metrics
 /// snapshot, the observer API and the exporters can speak it without
-/// depending on the collector layer; gc/CycleStats.h forwards here for the
-/// historical include path.
+/// depending on the collector layer.
 ///
 ///   Figure 10: cycle counts per kind, percent of time GC is active.
 ///   Figure 11: objects scanned (trace) and old objects scanned for

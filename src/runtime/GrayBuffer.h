@@ -57,23 +57,6 @@ public:
     return true;
   }
 
-  /// Drains all pending entries through \p Callback(ObjectRef), in push
-  /// order, outside the buffer lock (the tracer's segmented stacks take
-  /// their own pool mutex on refill, which must not nest inside ours).
-  /// \returns true if anything was drained.
-  template <typename Fn> bool drainEach(Fn Callback) {
-    std::vector<ObjectRef> Local;
-    {
-      std::scoped_lock Locked(Mutex);
-      if (Pending.empty())
-        return false;
-      Local.swap(Pending);
-    }
-    for (ObjectRef Ref : Local)
-      Callback(Ref);
-    return true;
-  }
-
   /// Discards stale entries (start of a cycle; leftovers from late shades
   /// of the previous cycle are re-discovered by color if still gray).
   void clear() {

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "gc/CycleStats.h"
+#include "obs/CycleStats.h"
 
 using namespace gengc;
 

@@ -2,6 +2,9 @@
 //
 // Part of the gengc project (PLDI 2000 generational on-the-fly GC repro).
 //
+// The eager sweep on one lane: sweepParallel over a one-lane GcWorkerPool,
+// the configuration every collector runs by default.
+//
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
@@ -17,7 +20,7 @@ namespace {
 struct SweeperTest : ::testing::Test {
   SweeperTest()
       : H(HeapConfig{.HeapBytes = 4 << 20}), Registry(State),
-        M(H, State, Registry), Engine(H, State) {}
+        M(H, State, Registry), Pool(1) {}
 
   ObjectRef makeObject(Color C) {
     ObjectRef Ref = M.allocate(1, 16);
@@ -25,16 +28,24 @@ struct SweeperTest : ::testing::Test {
     return Ref;
   }
 
+  /// One eager whole-heap sweep; \p OldestAge is the tenuring threshold
+  /// (aging mode only).
+  Sweeper::Result sweep(SweepMode Mode, uint8_t OldestAge) {
+    return sweepParallel(H, State, Pool,
+                         SweepPlan{SweepPolicy::Eager, Mode, OldestAge})
+        .Total;
+  }
+
   Heap H;
   CollectorState State;
   MutatorRegistry Registry;
   Mutator M;
-  Sweeper Engine;
+  GcWorkerPool Pool;
 };
 
 TEST_F(SweeperTest, FreesClearColoredCells) {
   ObjectRef Dead = makeObject(State.clearColor());
-  Sweeper::Result R = Engine.sweep(SweepMode::GenerationalSimple, 2);
+  Sweeper::Result R = sweep(SweepMode::GenerationalSimple, 2);
   EXPECT_EQ(H.loadColor(Dead), Color::Blue);
   EXPECT_GE(R.ObjectsFreed, 1u);
   EXPECT_GE(R.BytesFreed, H.storageBytesOf(Dead));
@@ -42,21 +53,21 @@ TEST_F(SweeperTest, FreesClearColoredCells) {
 
 TEST_F(SweeperTest, SimpleModeKeepsBlackBlack) {
   ObjectRef Old = makeObject(Color::Black);
-  Engine.sweep(SweepMode::GenerationalSimple, 2);
+  sweep(SweepMode::GenerationalSimple, 2);
   EXPECT_EQ(H.loadColor(Old), Color::Black)
       << "black doubles as 'old'; sweep must not recolor it (Section 3)";
 }
 
 TEST_F(SweeperTest, KeepsAllocationColored) {
   ObjectRef Yellow = makeObject(State.allocationColor());
-  Sweeper::Result R = Engine.sweep(SweepMode::GenerationalSimple, 2);
+  Sweeper::Result R = sweep(SweepMode::GenerationalSimple, 2);
   EXPECT_EQ(H.loadColor(Yellow), State.allocationColor());
   EXPECT_EQ(R.AllocColoredBytes, H.storageBytesOf(Yellow));
 }
 
 TEST_F(SweeperTest, LeavesGrayLeftoversAlone) {
   ObjectRef Gray = makeObject(Color::Gray);
-  Engine.sweep(SweepMode::GenerationalSimple, 2);
+  sweep(SweepMode::GenerationalSimple, 2);
   EXPECT_EQ(H.loadColor(Gray), Color::Gray)
       << "late-shaded objects float to the next cycle";
 }
@@ -66,7 +77,7 @@ TEST_F(SweeperTest, CountsLiveCorrectly) {
   makeObject(Color::Black);
   makeObject(State.allocationColor());
   makeObject(State.clearColor()); // dead
-  Sweeper::Result R = Engine.sweep(SweepMode::GenerationalSimple, 2);
+  Sweeper::Result R = sweep(SweepMode::GenerationalSimple, 2);
   EXPECT_EQ(R.LiveObjectsAfter, 3u);
   EXPECT_EQ(R.ObjectsFreed, 1u);
 }
@@ -76,7 +87,7 @@ TEST_F(SweeperTest, FreedCellsAreReusable) {
   for (int I = 0; I < 1000; ++I)
     Dead.push_back(makeObject(State.clearColor()));
   uint64_t UsedBefore = H.usedBytes();
-  Engine.sweep(SweepMode::GenerationalSimple, 2);
+  sweep(SweepMode::GenerationalSimple, 2);
   EXPECT_LT(H.usedBytes(), UsedBefore);
   // New allocations can land on the freed cells.
   ObjectRef Fresh = M.allocate(1, 16);
@@ -89,7 +100,7 @@ TEST_F(SweeperTest, FreesLargeRuns) {
   initObject(H, Run, 0, 0, 100 << 10);
   H.storeColor(Run, State.clearColor());
   uint32_t BlockIdx = H.blockIndexOf(Run);
-  Sweeper::Result R = Engine.sweep(SweepMode::GenerationalSimple, 2);
+  Sweeper::Result R = sweep(SweepMode::GenerationalSimple, 2);
   EXPECT_EQ(H.block(BlockIdx).State, BlockState::Free);
   EXPECT_GE(R.BytesFreed, 100u << 10);
 }
@@ -99,7 +110,7 @@ TEST_F(SweeperTest, KeepsLiveLargeRuns) {
   ASSERT_NE(Run, NullRef);
   initObject(H, Run, 0, 0, 80 << 10);
   H.storeColor(Run, Color::Black);
-  Engine.sweep(SweepMode::GenerationalSimple, 2);
+  sweep(SweepMode::GenerationalSimple, 2);
   EXPECT_EQ(H.block(H.blockIndexOf(Run)).State, BlockState::LargeStart);
   EXPECT_EQ(H.loadColor(Run), Color::Black);
 }
@@ -111,7 +122,7 @@ TEST_F(SweeperTest, KeepsLiveLargeRuns) {
 TEST_F(SweeperTest, AgingRecolorsYoungSurvivorsAndIncrementsAge) {
   ObjectRef Young = makeObject(Color::Black); // traced this cycle
   H.ages().setAge(Young, 1);
-  Engine.sweep(SweepMode::GenerationalAging, 4);
+  sweep(SweepMode::GenerationalAging, 4);
   EXPECT_EQ(H.loadColor(Young), State.allocationColor())
       << "young survivors rejoin the young generation";
   EXPECT_EQ(H.ages().ageOf(Young), 2);
@@ -120,7 +131,7 @@ TEST_F(SweeperTest, AgingRecolorsYoungSurvivorsAndIncrementsAge) {
 TEST_F(SweeperTest, AgingKeepsTenuredBlack) {
   ObjectRef Old = makeObject(Color::Black);
   H.ages().setAge(Old, 4); // at the threshold
-  Engine.sweep(SweepMode::GenerationalAging, 4);
+  sweep(SweepMode::GenerationalAging, 4);
   EXPECT_EQ(H.loadColor(Old), Color::Black);
   EXPECT_EQ(H.ages().ageOf(Old), 4) << "age stops at the threshold";
 }
@@ -130,7 +141,7 @@ TEST_F(SweeperTest, AgingAgesAllocationColoredObjectsToo) {
   // created during the cycle.
   ObjectRef Created = makeObject(State.allocationColor());
   H.ages().setAge(Created, 1);
-  Engine.sweep(SweepMode::GenerationalAging, 4);
+  sweep(SweepMode::GenerationalAging, 4);
   EXPECT_EQ(H.ages().ageOf(Created), 2);
   EXPECT_EQ(H.loadColor(Created), State.allocationColor());
 }
@@ -138,7 +149,7 @@ TEST_F(SweeperTest, AgingAgesAllocationColoredObjectsToo) {
 TEST_F(SweeperTest, AgingResetsAgeOfFreedCells) {
   ObjectRef Dead = makeObject(State.clearColor());
   H.ages().setAge(Dead, 3);
-  Engine.sweep(SweepMode::GenerationalAging, 4);
+  sweep(SweepMode::GenerationalAging, 4);
   EXPECT_EQ(H.loadColor(Dead), Color::Blue);
   EXPECT_EQ(H.ages().ageOf(Dead), 0);
 }
@@ -147,7 +158,7 @@ TEST_F(SweeperTest, AgingPromotionAfterThresholdCollections) {
   ObjectRef Obj = makeObject(Color::Black);
   H.ages().setAge(Obj, 1);
   for (uint8_t Expected = 2; Expected <= 3; ++Expected) {
-    Engine.sweep(SweepMode::GenerationalAging, 3);
+    sweep(SweepMode::GenerationalAging, 3);
     EXPECT_EQ(H.ages().ageOf(Obj), Expected);
     EXPECT_EQ(H.loadColor(Obj), State.allocationColor())
         << "age " << unsigned(Expected) << " was just assigned; the object "
@@ -156,7 +167,7 @@ TEST_F(SweeperTest, AgingPromotionAfterThresholdCollections) {
     H.storeColor(Obj, Color::Black);
   }
   // Age reached the threshold: the sweep now leaves it black — tenured.
-  Engine.sweep(SweepMode::GenerationalAging, 3);
+  sweep(SweepMode::GenerationalAging, 3);
   EXPECT_EQ(H.loadColor(Obj), Color::Black);
   EXPECT_EQ(H.ages().ageOf(Obj), 3);
 }
@@ -168,7 +179,7 @@ TEST_F(SweeperTest, AgingPromotionAfterThresholdCollections) {
 TEST_F(SweeperTest, NonGenKeepsAllocationColoredSurvivors) {
   ObjectRef Survivor = makeObject(State.allocationColor());
   ObjectRef Dead = makeObject(State.clearColor());
-  Sweeper::Result R = Engine.sweep(SweepMode::NonGenerational, 0);
+  Sweeper::Result R = sweep(SweepMode::NonGenerational, 0);
   EXPECT_EQ(H.loadColor(Survivor), State.allocationColor());
   EXPECT_EQ(H.loadColor(Dead), Color::Blue);
   EXPECT_EQ(R.LiveObjectsAfter, 1u);

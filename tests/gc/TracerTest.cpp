@@ -2,11 +2,14 @@
 //
 // Part of the gengc project (PLDI 2000 generational on-the-fly GC repro).
 //
+// The trace engine on one lane: ParallelTracer over a one-lane
+// GcWorkerPool, the configuration every collector runs by default.
+//
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
 
-#include "gc/Tracer.h"
+#include "gc/ParallelTrace.h"
 #include "runtime/Mutator.h"
 #include "runtime/MutatorRegistry.h"
 
@@ -17,7 +20,7 @@ namespace {
 struct TracerTest : ::testing::Test {
   TracerTest()
       : H(HeapConfig{.HeapBytes = 4 << 20}), Registry(State),
-        M(H, State, Registry), Engine(H, State) {}
+        M(H, State, Registry), Pool(1), Engine(H, State, Pool) {}
 
   /// Allocates an object with \p Slots ref slots, colored \p C.
   ObjectRef makeObject(Color C, uint32_t Slots = 2) {
@@ -41,12 +44,13 @@ struct TracerTest : ::testing::Test {
   CollectorState State;
   MutatorRegistry Registry;
   Mutator M;
-  Tracer Engine;
+  GcWorkerPool Pool;
+  ParallelTracer Engine;
   GrayCounters Counters;
 };
 
 TEST_F(TracerTest, EmptyTraceTerminates) {
-  Tracer::Result R = Engine.trace(Color::Black, Counters);
+  ParallelTracer::Result R = Engine.trace(Color::Black, Counters);
   EXPECT_EQ(R.ObjectsTraced, 0u);
   EXPECT_GE(R.Passes, 1u) << "at least one verification pass";
 }
@@ -58,7 +62,7 @@ TEST_F(TracerTest, TracesLinkedChainFromGrayRoot) {
   link(A, 0, B);
   link(B, 1, C);
   shade(A);
-  Tracer::Result R = Engine.trace(Color::Black, Counters);
+  ParallelTracer::Result R = Engine.trace(Color::Black, Counters);
   EXPECT_EQ(R.ObjectsTraced, 3u);
   EXPECT_EQ(H.loadColor(A), Color::Black);
   EXPECT_EQ(H.loadColor(B), Color::Black);
@@ -82,7 +86,7 @@ TEST_F(TracerTest, DoesNotRevisitBlackSons) {
   ObjectRef Old = makeObject(Color::Black);
   link(A, 0, Old);
   shade(A);
-  Tracer::Result R = Engine.trace(Color::Black, Counters);
+  ParallelTracer::Result R = Engine.trace(Color::Black, Counters);
   EXPECT_EQ(R.ObjectsTraced, 1u) << "black sons are already done";
 }
 
@@ -93,7 +97,7 @@ TEST_F(TracerTest, HandlesCyclesInTheObjectGraph) {
   link(B, 0, A);
   link(A, 1, A); // self loop too
   shade(A);
-  Tracer::Result R = Engine.trace(Color::Black, Counters);
+  ParallelTracer::Result R = Engine.trace(Color::Black, Counters);
   EXPECT_EQ(R.ObjectsTraced, 2u);
   EXPECT_EQ(H.loadColor(A), Color::Black);
   EXPECT_EQ(H.loadColor(B), Color::Black);
@@ -113,7 +117,7 @@ TEST_F(TracerTest, VerificationScanFindsUnqueuedGrays) {
   // race the verification pass guards against).
   ObjectRef Orphan = makeObject(State.clearColor());
   H.storeColor(Orphan, Color::Gray); // gray but never pushed
-  Tracer::Result R = Engine.trace(Color::Black, Counters);
+  ParallelTracer::Result R = Engine.trace(Color::Black, Counters);
   EXPECT_EQ(H.loadColor(Orphan), Color::Black);
   EXPECT_EQ(R.ObjectsTraced, 1u);
 }
@@ -134,7 +138,7 @@ TEST_F(TracerTest, CountsBytesAndSurvivors) {
   ObjectRef A = makeObject(Clear), B = makeObject(Clear);
   link(A, 0, B);
   shade(A);
-  Tracer::Result R = Engine.trace(Color::Black, Counters);
+  ParallelTracer::Result R = Engine.trace(Color::Black, Counters);
   EXPECT_EQ(R.BytesTraced, H.storageBytesOf(A) + H.storageBytesOf(B));
   // B was shaded from clear by the tracer; A was shaded by the test
   // directly (as the collector's root marking would count separately).
@@ -149,7 +153,7 @@ TEST_F(TracerTest, TracesLargeObjects) {
   link(Run, 2, Son);
   H.storeColor(Run, Color::Gray);
   State.Grays.push(Run);
-  Tracer::Result R = Engine.trace(Color::Black, Counters);
+  ParallelTracer::Result R = Engine.trace(Color::Black, Counters);
   EXPECT_EQ(R.ObjectsTraced, 2u);
   EXPECT_EQ(H.loadColor(Run), Color::Black);
   EXPECT_EQ(H.loadColor(Son), Color::Black);
@@ -166,10 +170,21 @@ TEST_F(TracerTest, WideFanoutTracesEverything) {
     Leaves.push_back(Leaf);
   }
   shade(Hub);
-  Tracer::Result R = Engine.trace(Color::Black, Counters);
+  ParallelTracer::Result R = Engine.trace(Color::Black, Counters);
   EXPECT_EQ(R.ObjectsTraced, 65u);
   for (ObjectRef Leaf : Leaves)
     EXPECT_EQ(H.loadColor(Leaf), Color::Black);
+}
+
+TEST_F(TracerTest, OneLaneMovesNoWorkThroughTheSharedList) {
+  // Enough pending grays for many segments: a lane with a sibling would
+  // offload some of them, a lone lane keeps them all on its own stack.
+  for (int I = 0; I < 1000; ++I)
+    shade(makeObject(State.clearColor(), 0));
+  ParallelTracer::Result R = Engine.trace(Color::Black, Counters);
+  EXPECT_EQ(R.ObjectsTraced, 1000u);
+  EXPECT_EQ(R.Offloads, 0u);
+  EXPECT_EQ(R.Steals, 0u);
 }
 
 } // namespace

@@ -218,9 +218,11 @@ TEST(Escalation, AbortDegradeRecoverKeepsChecksum) {
   std::thread BuilderThread([&] { Builder.run(RT); });
 
   std::atomic<bool> WedgeDone{false}, WedgeRelease{false};
+  std::atomic<bool> WedgeAttached{false};
   std::thread WedgeThread([&] {
     auto M = RT.attachMutator();
     M->allocate(1, 24);
+    WedgeAttached = true;
     // Wedged until the driver has seen the abort land — a fixed sleep is
     // not enough under sanitizer slowdown — then responsive so recovery
     // has something to observe.
@@ -233,6 +235,10 @@ TEST(Escalation, AbortDegradeRecoverKeepsChecksum) {
   });
 
   while (!Builder.Ready.load())
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  // The wedge must be attached before the first cycle starts: a thread
+  // that attaches only after that cycle is never waited on.
+  while (!WedgeAttached.load())
     std::this_thread::sleep_for(std::chrono::microseconds(50));
 
   // First cycle against the wedge: the Sync1 wait escalates, the cycle
