@@ -39,10 +39,18 @@ RuntimeConfig parallelConfig(CollectorChoice Choice, bool Aging) {
 }
 
 struct ParallelParam {
+  ParallelParam(CollectorChoice Choice, bool Aging, const char *Name)
+      : Choice(Choice), Aging(Aging), Name(Name) {}
+
   CollectorChoice Choice;
   bool Aging;
+  // gtest names each case after the raw bytes of its parameter, so the
+  // bytes between Aging and Name are spelled out and zeroed: as implicit
+  // padding they carried stack garbage into the test name.
+  uint8_t Padding[6] = {};
   const char *Name;
 };
+static_assert(sizeof(ParallelParam) == 16, "ParallelParam has implicit padding");
 
 class ParallelCycleTest : public ::testing::TestWithParam<ParallelParam> {};
 
