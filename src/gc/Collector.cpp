@@ -61,7 +61,29 @@ void Collector::initSweepPlan(SweepMode Mode) {
   }
 }
 
-CyclePhase Collector::sweepPhase(bool GenerationalEstimate) {
+CyclePhase Collector::tracePhase() {
+  return {GcPhase::Trace, &CycleStats::TraceNanos,
+          [this](CycleStats &C) {
+            if (abortPhaseEntry(FaultSite::TraceAbort, GcPhase::Trace))
+              return;
+            ParallelTracer::Result R =
+                TraceEngine.trace(tracedBlackColor(), CollectorGrays);
+            C.ObjectsTraced = R.ObjectsTraced;
+            C.BytesTraced = R.BytesTraced;
+            C.TraceSteals = R.Steals;
+            C.TraceOffloads = R.Offloads;
+            C.TraceSegmentsAcquired = R.SegmentsAcquired;
+            C.TraceTermScanNanos = R.TermScanNanos;
+            C.TraceWorkerNanos = std::move(R.WorkerNanos);
+            // A lazy generational cycle has no eager sweep to compute the
+            // live-after-minus-new estimate from; it falls back to bytes
+            // traced, like the non-generational collectors.
+            if (!generationalPlan() || lazySweep())
+              C.LiveEstimateBytes = R.BytesTraced;
+          }};
+}
+
+CyclePhase Collector::sweepPhase() {
   if (lazySweep())
     return {GcPhase::PublishSweep, &CycleStats::SweepNanos,
             [this](CycleStats &C) {
@@ -69,23 +91,17 @@ CyclePhase Collector::sweepPhase(bool GenerationalEstimate) {
                 return;
               LazySweepEngine::PublishResult P = LazyEngine->publish();
               C.LazyBlocksPublished = P.BlocksPublished;
-              C.ObjectsFreed += P.Large.ObjectsFreed;
-              C.BytesFreed += P.Large.BytesFreed;
-              C.LiveObjectsAfter += P.Large.LiveObjectsAfter;
-              C.LiveBytesAfter += P.Large.LiveBytesAfter;
+              P.Large.addTo(C);
             }};
   return {GcPhase::Sweep, &CycleStats::SweepNanos,
-          [this, GenerationalEstimate](CycleStats &C) {
+          [this](CycleStats &C) {
             if (abortPhaseEntry(FaultSite::SweepAbort, GcPhase::Sweep))
               return;
             ParallelSweepResult R =
                 sweepParallel(H, State, Pool, Plan, &Obs);
-            C.ObjectsFreed += R.Total.ObjectsFreed;
-            C.BytesFreed += R.Total.BytesFreed;
-            C.LiveObjectsAfter += R.Total.LiveObjectsAfter;
-            C.LiveBytesAfter += R.Total.LiveBytesAfter;
+            R.Total.addTo(C);
             C.SweepWorkerNanos = std::move(R.WorkerNanos);
-            if (GenerationalEstimate)
+            if (generationalPlan())
               C.LiveEstimateBytes =
                   R.Total.LiveBytesAfter - R.Total.AllocColoredBytes;
           }};
@@ -98,11 +114,7 @@ CyclePhase Collector::residuePhase() {
             // Harvest everything swept since the previous publish — the
             // residue just drained plus every mutator claim and idle drip
             // in between (one-cycle-lag attribution).
-            Sweeper::Result R = LazyEngine->takeResults();
-            C.ObjectsFreed += R.ObjectsFreed;
-            C.BytesFreed += R.BytesFreed;
-            C.LiveObjectsAfter += R.LiveObjectsAfter;
-            C.LiveBytesAfter += R.LiveBytesAfter;
+            LazyEngine->takeResults().addTo(C);
           }};
 }
 
@@ -374,39 +386,58 @@ void Collector::abortCycle(CycleStats &Cycle) {
   runVerifier(VerifyScope::Concurrent);
 }
 
-uint64_t Collector::waitWorldStoppedBounded(uint64_t Epoch) {
-  // Same accounting loop as StwCollector::waitWorldStopped, with a
-  // deadline: a thread that blew through every handshake grace period gets
-  // its roots shaded on its behalf and is counted stopped.
+void Collector::stopWorld(std::vector<uint64_t> &Forced) {
+  // The epoch bump follows the caller's writes (the color toggle, on the
+  // second stop of a pause), so a parker that observes the new epoch also
+  // sees them when it re-shades its roots.
+  uint64_t Epoch =
+      State.StopEpoch.fetch_add(1, std::memory_order_acq_rel) + 1;
+  State.StopWorld.store(true, std::memory_order_seq_cst);
+
+  // A mutator counts as stopped when it parked itself AND shaded its roots
+  // for this very epoch (a thread still asleep from an earlier epoch has
+  // stale shading and must not be trusted until it re-shades), when it is
+  // blocked, or when this pause already forced it; we shade for the last
+  // two.  The registry can change while we wait: re-snapshot every pass.
+  auto Stopped = [&](Mutator &M) {
+    if (M.stwParkedFor(Epoch) || M.markRootsIfBlockedForStw())
+      return true;
+    if (std::find(Forced.begin(), Forced.end(), M.id()) == Forced.end())
+      return false;
+    M.forceShadeForStw();
+    return true;
+  };
+  // Only Escalate bounds the wait: a thread that blew through every
+  // handshake grace period is force-shaded and counted stopped.
+  bool Bounded = Config.Watchdog.Policy == WatchdogPolicy::Escalate;
   uint64_t Deadline = Config.Watchdog.DeadlineNanos != 0
                           ? Config.Watchdog.DeadlineNanos
                           : 50'000'000;
   Deadline *= std::max(1u, Config.Watchdog.EscalateAfterFires);
   uint64_t Begin = nowNanos();
   for (unsigned Spin = 0;; ++Spin) {
-    size_t Total = 0;
-    size_t Accounted = 0;
+    size_t Lagging = 0;
     Registry.forEach([&](Mutator &M) {
-      ++Total;
-      if (M.stwParkedFor(Epoch) || M.markRootsIfBlockedForStw())
-        ++Accounted;
+      if (!Stopped(M))
+        ++Lagging;
     });
-    if (Accounted >= Total)
-      return 0;
+    if (Lagging == 0)
+      return;
     uint64_t Waited = nowNanos() - Begin;
-    if (Waited >= Deadline) {
-      uint64_t Forced = 0;
+    if (Bounded && Waited >= Deadline) {
+      size_t Before = Forced.size();
       Registry.forEach([&](Mutator &M) {
-        if (!M.stwParkedFor(Epoch) && !M.markRootsIfBlockedForStw()) {
+        if (!Stopped(M)) {
           M.forceShadeForStw();
-          ++Forced;
+          Forced.push_back(M.id());
         }
       });
       Handshakes.fireStall("stop-the-world", Waited);
       if (EventRing *Ring = Obs.laneRing(0))
         Ring->instant(ObsEventKind::EscalationStep, nowNanos(),
-                      uint64_t(EscalationAction::ForceAdopt), Forced);
-      return Forced;
+                      uint64_t(EscalationAction::ForceAdopt),
+                      Forced.size() - Before);
+      return;
     }
     if (Spin < 64)
       std::this_thread::yield();
@@ -415,48 +446,42 @@ uint64_t Collector::waitWorldStoppedBounded(uint64_t Epoch) {
   }
 }
 
-CycleStats Collector::runDegradedCycle(CycleRequest Kind) {
-  (void)Kind; // The fallback always collects the whole heap.
+CycleStats Collector::stopTheWorldCycle() {
   CycleStats Cycle;
-  Cycle.Kind = CycleKind::NonGenerational;
-  Cycle.Degraded = true;
+  Cycle.Kind =
+      generationalPlan() ? CycleKind::Full : CycleKind::NonGenerational;
+  if (generationalPlan())
+    Cycle.AllocatedCards = H.countAllocatedCards();
   Cycle.GcWorkers = Pool.lanes();
 
   runCyclePhases(
       State,
-      // The residue drain runs before StopWorld is raised, as in the STW
-      // comparator.
+      // The residue drain runs before the world stops — it contends only
+      // on shard/stash mutexes, so running it concurrently is safe.
       withResiduePhase({
           {GcPhase::Clear, &CycleStats::ClearNanos,
            [this](CycleStats &C) {
+             // Stop, init, toggle, then stop again: once every thread is
+             // stopped nothing untraced can get the new allocation color,
+             // and the second epoch makes every stopped thread re-shade
+             // its roots under the toggled colors.
+             std::vector<uint64_t> Forced;
+             stopWorld(Forced);
+             initFullCollection(C);
              State.switchAllocationClearColors();
-             uint64_t Epoch =
-                 State.StopEpoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-             State.StopWorld.store(true, std::memory_order_seq_cst);
-             C.ForcedMutators += waitWorldStoppedBounded(Epoch);
+             stopWorld(Forced);
+             C.ForcedMutators += Forced.size();
            }},
 
           {GcPhase::Mark, &CycleStats::MarkNanos,
            [this](CycleStats &) { Roots.markAll(CollectorGrays); }},
 
-          {GcPhase::Trace, &CycleStats::TraceNanos,
-           [this](CycleStats &C) {
-             ParallelTracer::Result TraceResult =
-                 TraceEngine.trace(State.allocationColor(), CollectorGrays);
-             C.ObjectsTraced = TraceResult.ObjectsTraced;
-             C.BytesTraced = TraceResult.BytesTraced;
-             C.LiveEstimateBytes = TraceResult.BytesTraced;
-             C.TraceSteals = TraceResult.Steals;
-             C.TraceOffloads = TraceResult.Offloads;
-             C.TraceSegmentsAcquired = TraceResult.SegmentsAcquired;
-             C.TraceTermScanNanos = TraceResult.TermScanNanos;
-             C.TraceWorkerNanos = std::move(TraceResult.WorkerNanos);
-           }},
-
-          sweepPhase(/*GenerationalEstimate=*/false),
+          tracePhase(),
+          sweepPhase(),
       }),
       Cycle, Obs.laneRing(0), verifyHook(/*FullCycle=*/true));
 
+  // runCyclePhases already published Idle; resume the world after it.
   State.StopWorld.store(false, std::memory_order_seq_cst);
   return Cycle;
 }
@@ -492,7 +517,8 @@ void Collector::runOneCycle(CycleRequest Kind) {
   StopWatch Watch;
   Watch.start();
   bool WasDegraded = InDegradedMode;
-  CycleStats Cycle = WasDegraded ? runDegradedCycle(Kind) : runCycle(Kind);
+  CycleStats Cycle = WasDegraded ? stopTheWorldCycle() : runCycle(Kind);
+  Cycle.Degraded = WasDegraded;
   if (AbortCycleFlag)
     abortCycle(Cycle);
   Cycle.DurationNanos = Watch.stop();

@@ -238,20 +238,32 @@ protected:
   /// GenerationalCollector overrides to keep the old generation black.
   virtual void abortRecolor();
 
-  /// One cycle of the cooperating-STW degraded fallback: toggle, stop the
-  /// world with a forced-progress bound (waitWorldStoppedBounded), mark
-  /// global roots, trace, sweep.  The base version is the whole-heap
-  /// non-generational cycle; GenerationalCollector overrides with a full
-  /// generational cycle (init-full before the toggle, Black trace).
-  virtual CycleStats runDegradedCycle(CycleRequest Kind);
+  /// One whole-heap cycle with the world stopped: every cycle of the STW
+  /// comparator and each cycle of the degraded fallback (DESIGN.md §19).
+  /// Stops the world, runs initFullCollection, toggles the colors, then
+  /// stops the world again under a new epoch so every stopped thread
+  /// re-shades its roots under the toggled colors; marks the global roots,
+  /// traces and sweeps, and resumes the world.  Stopping before the toggle
+  /// means nothing a still-running thread allocates can carry the color
+  /// the trace treats as done.  The cycle is Full under a generational
+  /// plan and NonGenerational otherwise.
+  CycleStats stopTheWorldCycle();
 
-  /// StwCollector::waitWorldStopped with a deadline: mutators that fail to
-  /// park (or declare themselves blocked) within roughly DeadlineNanos x
-  /// EscalateAfterFires are force-shaded (Mutator::forceShadeForStw) and
-  /// counted stopped.  Returns the number forced — 0 means every thread
-  /// parked voluntarily, the signal that handshakes work again and
-  /// on-the-fly collection can resume.
-  uint64_t waitWorldStoppedBounded(uint64_t Epoch);
+  /// Runs with the world stopped, before stopTheWorldCycle's toggle — and
+  /// before a concurrent Full cycle's first handshake.  The generational
+  /// collector's InitFullCollection; nothing to do for the others.
+  virtual void initFullCollection(CycleStats &) {}
+
+  /// Bumps the stop epoch, raises StopWorld and waits until every mutator
+  /// has parked and shaded its roots for the new epoch, or is blocked
+  /// (its roots shaded here).  Under WatchdogPolicy::Escalate the wait is
+  /// bounded by roughly DeadlineNanos x EscalateAfterFires: a thread that
+  /// has not parked by then gets its roots shaded on its behalf
+  /// (Mutator::forceShadeForStw) and its id appended to \p Forced.  A
+  /// thread already in \p Forced is shaded at once, with no new deadline.
+  /// An empty \p Forced after the pause means every thread parked on its
+  /// own, the signal that on-the-fly collection can resume.
+  void stopWorld(std::vector<uint64_t> &Forced);
 
   /// Visits every size-class cell and large-object start in the heap (a
   /// single-threaded block-table walk; only the abort unwind's recolor
@@ -297,10 +309,10 @@ protected:
   /// Sums the per-cycle gray counters into \p Stats (young survivors).
   void sumGrayCounters(CycleStats &Stats);
 
-  /// The color that marks "traced by this cycle" for the verifier's
-  /// post-trace reachability check.  The DLG and STW collectors trace with
-  /// the allocation color; the generational collector overrides this with
-  /// Color::Black.
+  /// The color that marks "traced by this cycle": the trace phase's black
+  /// and the key of the verifier's post-trace reachability check.  The DLG
+  /// and STW collectors trace with the allocation color; the generational
+  /// collector overrides this with Color::Black.
   virtual Color tracedBlackColor() const { return State.allocationColor(); }
 
   /// The AfterPhase callback for runCyclePhases: runs the verifier at every
@@ -318,14 +330,19 @@ protected:
   /// collectors no longer assemble sweep configurations at call sites.
   void initSweepPlan(SweepMode Mode);
 
+  /// The Trace phase of every cycle: traces the gray work with
+  /// tracedBlackColor() and records the trace statistics.  Bytes traced
+  /// is the live estimate, except under an eager generational plan, where
+  /// sweepPhase computes it.
+  CyclePhase tracePhase();
+
   /// The reclamation phase of the cycle pipeline, from the plan: the
   /// historical eager Sweep (whole-heap sweepParallel) or the lazy
   /// PublishSweep.  Both charge CycleStats::SweepNanos, so eager-vs-lazy
-  /// benches compare the visible sweep-phase cost directly.
-  /// \p GenerationalEstimate selects the generational live-estimate
-  /// formula (LiveBytesAfter - AllocColoredBytes) on the eager path; lazy
-  /// cycles leave LiveEstimateBytes to the trace phase.
-  CyclePhase sweepPhase(bool GenerationalEstimate);
+  /// benches compare the visible sweep-phase cost directly.  The eager
+  /// path of a generational plan sets the live estimate to LiveBytesAfter
+  /// minus AllocColoredBytes.
+  CyclePhase sweepPhase();
 
   /// The SweepResidue phase (lazy only): drains every block the previous
   /// cycle published that no mutator claimed, and harvests the sweep
@@ -340,6 +357,11 @@ protected:
 
   /// True when this collector runs the lazy sweep policy.
   bool lazySweep() const { return Plan.Policy == SweepPolicy::Lazy; }
+
+  /// True for the generational collector's plans (either promotion mode).
+  bool generationalPlan() const {
+    return Plan.Mode != SweepMode::NonGenerational;
+  }
 
   /// Runs one verifier pass of \p Scope now; aborts with a full violation
   /// dump if the heap is inconsistent, emits a VerifyPass event if clean.

@@ -26,6 +26,15 @@ struct CardScanStats {
   uint64_t CardsRemarked = 0;
   uint64_t SummaryChunksScanned = 0;
   uint64_t CardsSkippedBySummary = 0;
+
+  void addTo(CycleStats &Cycle) const {
+    Cycle.DirtyCardsAtStart += DirtyCards;
+    Cycle.OldObjectsScanned += OldObjectsScanned;
+    Cycle.CardScanAreaBytes += CardScanAreaBytes;
+    Cycle.CardsRemarked += CardsRemarked;
+    Cycle.SummaryChunksScanned += SummaryChunksScanned;
+    Cycle.CardsSkippedBySummary += CardsSkippedBySummary;
+  }
 };
 
 /// Chunk size for sharding \p Items across \p Lanes (8 chunks per lane so a
@@ -196,61 +205,6 @@ void GenerationalCollector::abortRecolor() {
   });
 }
 
-CycleStats GenerationalCollector::runDegradedCycle(CycleRequest Kind) {
-  (void)Kind; // The fallback always runs a full collection.
-  CycleStats Cycle;
-  Cycle.Kind = CycleKind::Full;
-  Cycle.AllocatedCards = H.countAllocatedCards();
-  Cycle.GcWorkers = Pool.lanes();
-  Cycle.Degraded = true;
-
-  runCyclePhases(
-      State,
-      withResiduePhase({
-          {GcPhase::Clear, &CycleStats::ClearNanos,
-           [this](CycleStats &C) {
-             // Full-collection init first (it recolors under the
-             // PRE-toggle allocation color, as in the concurrent Full
-             // cycle), then toggle, then stop the world with the bounded
-             // wait.
-             C.DirtyCardsAtStart = H.cards().countDirty();
-             if (Config.Aging)
-               initFullCollectionAging();
-             else
-               initFullCollectionSimple();
-             State.switchAllocationClearColors();
-             uint64_t Epoch =
-                 State.StopEpoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-             State.StopWorld.store(true, std::memory_order_seq_cst);
-             C.ForcedMutators += waitWorldStoppedBounded(Epoch);
-           }},
-
-          {GcPhase::Mark, &CycleStats::MarkNanos,
-           [this](CycleStats &) { Roots.markAll(CollectorGrays); }},
-
-          {GcPhase::Trace, &CycleStats::TraceNanos,
-           [this](CycleStats &C) {
-             ParallelTracer::Result TraceResult =
-                 TraceEngine.trace(Color::Black, CollectorGrays);
-             C.ObjectsTraced = TraceResult.ObjectsTraced;
-             C.BytesTraced = TraceResult.BytesTraced;
-             C.TraceSteals = TraceResult.Steals;
-             C.TraceOffloads = TraceResult.Offloads;
-             C.TraceSegmentsAcquired = TraceResult.SegmentsAcquired;
-             C.TraceTermScanNanos = TraceResult.TermScanNanos;
-             C.TraceWorkerNanos = std::move(TraceResult.WorkerNanos);
-             if (lazySweep())
-               C.LiveEstimateBytes = TraceResult.BytesTraced;
-           }},
-
-          sweepPhase(/*GenerationalEstimate=*/true),
-      }),
-      Cycle, Obs.laneRing(0), verifyHook(/*FullCycle=*/true));
-
-  State.StopWorld.store(false, std::memory_order_seq_cst);
-  return Cycle;
-}
-
 void GenerationalCollector::recolorTracedToAllocation() {
   Color Alloc = State.allocationColor();
   PageTouchTracker &Pages = H.pages();
@@ -284,11 +238,19 @@ void GenerationalCollector::recolorTracedToAllocation() {
       });
 }
 
-void GenerationalCollector::initFullCollectionSimple() {
+void GenerationalCollector::initFullCollection(CycleStats &Cycle) {
+  Cycle.DirtyCardsAtStart = H.cards().countDirty();
   recolorTracedToAllocation();
-  // Every object is about to be traced, so the recorded inter-generational
-  // pointers carry no information this cycle; pointers created from here
-  // on re-record themselves (the write barrier stays active all cycle).
+  // Aging (Figure 6): dirty cards are NOT cleared — a young object may stay
+  // young across this full collection, so existing inter-generational
+  // pointers remain relevant for the following partial collections
+  // (Section 6).
+  if (Config.Aging)
+    return;
+  // Simple promotion (Figure 3): every object is about to be traced, so the
+  // recorded inter-generational pointers carry no information this cycle;
+  // pointers created from here on re-record themselves (the write barrier
+  // stays active all cycle).
   if (Config.RememberedSets) {
     std::vector<ObjectRef> Recorded;
     State.Remembered.drainTo(Recorded);
@@ -299,13 +261,6 @@ void GenerationalCollector::initFullCollectionSimple() {
   H.cards().clearAll();
   H.pages().touchRange(Region::CardTable, 0, H.cards().numCards());
   H.pages().touchRange(Region::CardSummary, 0, H.cards().numSummaryChunks());
-}
-
-void GenerationalCollector::initFullCollectionAging() {
-  // Dirty cards are NOT cleared: with aging, a young object may stay young
-  // across this full collection, so existing inter-generational pointers
-  // remain relevant for the following partial collections (Section 6).
-  recolorTracedToAllocation();
 }
 
 void GenerationalCollector::clearCardsSimple(CycleStats &Cycle) {
@@ -352,11 +307,7 @@ void GenerationalCollector::clearCardsSimple(CycleStats &Cycle) {
         });
       });
   for (unsigned Lane = 0; Lane < Lanes; ++Lane) {
-    Cycle.DirtyCardsAtStart += LaneStats[Lane].DirtyCards;
-    Cycle.OldObjectsScanned += LaneStats[Lane].OldObjectsScanned;
-    Cycle.CardScanAreaBytes += LaneStats[Lane].CardScanAreaBytes;
-    Cycle.SummaryChunksScanned += LaneStats[Lane].SummaryChunksScanned;
-    Cycle.CardsSkippedBySummary += LaneStats[Lane].CardsSkippedBySummary;
+    LaneStats[Lane].addTo(Cycle);
     State.Grays.pushMany(Regrayed[Lane]);
   }
 }
@@ -444,14 +395,8 @@ void GenerationalCollector::clearCardsAging(CycleStats &Cycle) {
           ++S.CardsRemarked;
         }
       });
-  for (unsigned Lane = 0; Lane < Lanes; ++Lane) {
-    Cycle.DirtyCardsAtStart += LaneStats[Lane].DirtyCards;
-    Cycle.OldObjectsScanned += LaneStats[Lane].OldObjectsScanned;
-    Cycle.CardScanAreaBytes += LaneStats[Lane].CardScanAreaBytes;
-    Cycle.CardsRemarked += LaneStats[Lane].CardsRemarked;
-    Cycle.SummaryChunksScanned += LaneStats[Lane].SummaryChunksScanned;
-    Cycle.CardsSkippedBySummary += LaneStats[Lane].CardsSkippedBySummary;
-  }
+  for (const CardScanStats &S : LaneStats)
+    S.addTo(Cycle);
 }
 
 CycleStats GenerationalCollector::runCycle(CycleRequest Kind) {
@@ -467,13 +412,8 @@ CycleStats GenerationalCollector::runCycle(CycleRequest Kind) {
           // clear stage (Figure 2 / Figure 5).
           {GcPhase::Clear, &CycleStats::ClearNanos,
            [&](CycleStats &C) {
-             if (Full) {
-               C.DirtyCardsAtStart = H.cards().countDirty();
-               if (Config.Aging)
-                 initFullCollectionAging();
-               else
-                 initFullCollectionSimple();
-             }
+             if (Full)
+               initFullCollection(C);
              handshakeOrAbort(HandshakeStatus::Sync1);
            }},
 
@@ -513,30 +453,12 @@ CycleStats GenerationalCollector::runCycle(CycleRequest Kind) {
            }},
 
           // trace: black marks promoted/old objects in both variants.
-          {GcPhase::Trace, &CycleStats::TraceNanos,
-           [&](CycleStats &C) {
-             if (abortPhaseEntry(FaultSite::TraceAbort, GcPhase::Trace))
-               return;
-             ParallelTracer::Result TraceResult =
-                 TraceEngine.trace(Color::Black, CollectorGrays);
-             C.ObjectsTraced = TraceResult.ObjectsTraced;
-             C.BytesTraced = TraceResult.BytesTraced;
-             C.TraceSteals = TraceResult.Steals;
-             C.TraceOffloads = TraceResult.Offloads;
-             C.TraceSegmentsAcquired = TraceResult.SegmentsAcquired;
-             C.TraceTermScanNanos = TraceResult.TermScanNanos;
-             C.TraceWorkerNanos = std::move(TraceResult.WorkerNanos);
-             // Lazy cycles have no eager sweep to compute the
-             // live-after-minus-new estimate from; fall back to bytes
-             // traced, like the non-generational collectors.
-             if (lazySweep())
-               C.LiveEstimateBytes = TraceResult.BytesTraced;
-           }},
+          tracePhase(),
 
           // reclamation: eager whole-heap sweep, or lazy publish.  The
           // eager path computes the generational live estimate
           // (LiveBytesAfter - AllocColoredBytes).
-          sweepPhase(/*GenerationalEstimate=*/true),
+          sweepPhase(),
       }),
       Cycle, Obs.laneRing(0), verifyHook(Full),
       [this] { return abortPending(); });

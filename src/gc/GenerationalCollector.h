@@ -52,21 +52,16 @@ protected:
   /// the forced-Full successor cycle sweeps them.
   void abortRecolor() override;
 
-  /// The degraded fallback runs a FULL generational cycle under a stopped
-  /// world — init-full recolor before the toggle, Black trace — so the
-  /// verifier's Black-keyed checks and the aging invariants keep holding
-  /// while the collector rides out the stall.
-  CycleStats runDegradedCycle(CycleRequest Kind) override;
+  /// InitFullCollection, run before the color toggle of every Full cycle
+  /// (the degraded fallback's stopped-world cycle included, which makes it
+  /// a Full generational cycle with a Black trace): records the dirty
+  /// cards at start and recolors black/gray objects to the (pre-toggle)
+  /// allocation color.  Simple promotion (Figure 3) also clears every card
+  /// mark or remembered-set entry; under aging (Figure 6) dirty cards
+  /// survive, they stay relevant for the following partial collections.
+  void initFullCollection(CycleStats &Cycle) override;
 
 private:
-  /// Figure 3 InitFullCollection: recolor black/gray objects to the
-  /// (pre-toggle) allocation color and clear every card mark.
-  void initFullCollectionSimple();
-
-  /// Figure 6 InitFullCollection: recolor only; dirty cards survive, they
-  /// stay relevant for the following partial collections.
-  void initFullCollectionAging();
-
   /// Recolors every black or gray object to the current allocation color.
   void recolorTracedToAllocation();
 

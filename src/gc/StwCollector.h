@@ -15,12 +15,17 @@
 /// collector the maximum stall equals a whole collection, while the
 /// on-the-fly collectors' stalls are zero (modulo allocation throttling).
 ///
-/// Protocol: toggle colors; raise StopWorld; each mutator shades its own
-/// roots at its next cooperate() and parks; blocked mutators' roots are
-/// shaded by the collector; once everyone is accounted for, trace and
-/// sweep run with the world stopped; lower StopWorld.  It reuses the same
-/// Tracer/Sweeper and the Remark 5.1 color-toggle machinery as the DLG
-/// baseline, so the comparison isolates concurrency itself.
+/// Protocol (Collector::stopTheWorldCycle, shared with the on-the-fly
+/// collectors' degraded fallback): raise StopWorld; each mutator parks at
+/// its next cooperate(), blocked mutators are accounted for by the
+/// collector; once everyone is stopped, toggle the colors; bump the stop
+/// epoch so every stopped thread re-shades its roots under the new colors
+/// (the collector shades for blocked ones); trace and sweep with the world
+/// stopped; lower StopWorld.  Toggling only after the stop means nothing a
+/// still-running thread allocates carries the color the trace treats as
+/// done.  It reuses the same trace and sweep engines and the Remark 5.1
+/// color-toggle machinery as the DLG baseline, so the comparison isolates
+/// concurrency itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,11 +44,6 @@ public:
 
 protected:
   CycleStats runCycle(CycleRequest Kind) override;
-
-private:
-  /// Blocks until every registered mutator is parked-and-shaded for stop
-  /// \p Epoch or blocked (with its roots shaded either way).
-  void waitWorldStopped(uint64_t Epoch);
 };
 
 } // namespace gengc

@@ -39,6 +39,7 @@
 #include "gc/SweepPolicy.h"
 #include "gc/WorkerPool.h"
 #include "heap/Heap.h"
+#include "obs/CycleStats.h"
 #include "obs/ObsRegistry.h"
 #include "runtime/CollectorState.h"
 
@@ -68,6 +69,15 @@ public:
       LiveObjectsAfter += Other.LiveObjectsAfter;
       LiveBytesAfter += Other.LiveBytesAfter;
       AllocColoredBytes += Other.AllocColoredBytes;
+    }
+
+    /// Adds the freed and surviving counts into \p Cycle's statistics
+    /// (AllocColoredBytes feeds only the live estimate; see sweepPhase).
+    void addTo(CycleStats &Cycle) const {
+      Cycle.ObjectsFreed += ObjectsFreed;
+      Cycle.BytesFreed += BytesFreed;
+      Cycle.LiveObjectsAfter += LiveObjectsAfter;
+      Cycle.LiveBytesAfter += LiveBytesAfter;
     }
   };
 

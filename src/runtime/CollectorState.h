@@ -100,19 +100,20 @@ struct CollectorState {
   /// a shade whose enqueue is still in flight can never be missed.
   std::atomic<int64_t> InFlightShades{0};
 
-  /// Stop-the-world support (the StwCollector comparator, not used by the
-  /// paper's on-the-fly collectors): when set, every mutator parks at its
-  /// next cooperate() after shading its own roots, and stays parked until
-  /// cleared.
+  /// Stop-the-world support (the StwCollector comparator and the degraded
+  /// fallback, not used by the paper's on-the-fly cycles): when set, every
+  /// mutator parks at its next cooperate() after shading its own roots,
+  /// and stays parked until cleared.
   std::atomic<bool> StopWorld{false};
 
-  /// Distinguishes consecutive stop-the-world pauses: bumped (after the
-  /// color toggle) each time StopWorld is raised.  A mutator still asleep
-  /// in its park loop from pause N re-shades its roots — under the new
-  /// colors — when it observes epoch N+1, and the collector counts it
-  /// stopped only once the mutator has published the current epoch.
-  /// Without this, back-to-back cycles treat stale parkers as stopped and
-  /// sweep their never-reshaded roots.
+  /// Distinguishes consecutive stop-the-world waits: bumped when StopWorld
+  /// is raised and again after the color toggle of the same pause.  A
+  /// mutator asleep in its park loop re-shades its roots — under the
+  /// current colors — whenever it observes a new epoch, and the collector
+  /// counts it stopped only once the mutator has published the current
+  /// epoch.  Without this, a pause would trust shading done before its
+  /// toggle, or back-to-back cycles would treat stale parkers as stopped
+  /// and sweep their never-reshaded roots.
   std::atomic<uint64_t> StopEpoch{0};
 
   /// Number of mutators currently parked for a stop-the-world pause.

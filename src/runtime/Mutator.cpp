@@ -311,11 +311,11 @@ void Mutator::markOwnRoots() {
 }
 
 void Mutator::markOwnRootsForStw() {
-  // Stop-the-world shading must also cover allocation-colored roots: an
-  // object allocated after the toggle but before this thread stopped may be
-  // the only path to clear-colored children (no trace has run yet).
+  // The collector toggles the colors only once every thread has stopped,
+  // so no untraced object carries the allocation color: shading the
+  // clear-colored roots is complete.
   for (ObjectRef Root : Stack)
-    markGrayForStw(H, State, Root, Grays);
+    markGrayClearOnly(H, State, Root, Grays);
 }
 
 void Mutator::cooperateLocked(bool Helped) {
@@ -379,9 +379,10 @@ void Mutator::forceShadeForStw() {
 void Mutator::parkForStopTheWorld() {
   // Shade our roots, then publish the stop epoch we shaded for: the
   // collector counts this thread stopped only once it sees the current
-  // epoch here.  The shade is redone per epoch because a new pause can
-  // begin (with freshly toggled colors) while this thread is still asleep
-  // from the previous one — a stale shading must never be trusted.
+  // epoch here.  The shade is redone per epoch because the colors change
+  // while this thread sleeps — the pause's own toggle comes after the
+  // first epoch, and a new pause can begin before this thread wakes from
+  // the previous one — so a stale shading must never be trusted.
   State.ParkedMutators.fetch_add(1, std::memory_order_acq_rel);
   uint64_t Start = nowNanos();
   uint64_t ShadedFor = 0;

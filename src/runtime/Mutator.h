@@ -277,8 +277,9 @@ public:
   void recordPause(uint64_t Nanos, bool StopTheWorld = false);
 
   /// Shades this mutator's roots and parks until StopWorld clears
-  /// (StwCollector).  Called from cooperate(); public so tests can drive
-  /// the protocol directly.
+  /// (Collector::stopTheWorldCycle), re-shading on every new stop epoch.
+  /// Called from cooperate(); public so tests can drive the protocol
+  /// directly.
   void parkForStopTheWorld();
 
   /// Collector side: if this mutator is blocked, shade its roots on its
@@ -300,8 +301,8 @@ private:
   /// Marks every shadow-stack entry gray (response to the 3rd handshake).
   void markOwnRoots();
 
-  /// Stop-the-world variant: shades clear- AND allocation-colored roots
-  /// (see markGrayForStw).  CoopMutex must be held.
+  /// Stop-the-world variant: shades clear-colored roots under the colors
+  /// of the current stop epoch.  CoopMutex must be held.
   void markOwnRootsForStw();
 
   /// Stalls while a collection is in progress and the during-cycle

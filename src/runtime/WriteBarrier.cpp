@@ -59,20 +59,6 @@ void gengc::markGrayClearOnly(Heap &H, CollectorState &S, ObjectRef X,
     noteGrayFromClear(H, X, Counters);
 }
 
-void gengc::markGrayForStw(Heap &H, CollectorState &S, ObjectRef X,
-                           GrayCounters &Counters) {
-  if (X == NullRef)
-    return;
-  if (shadeGray(H, S, X, S.clearColor())) {
-    noteGrayFromClear(H, X, Counters);
-    return;
-  }
-  // An object allocated between the color toggle and this thread's park
-  // carries the allocation color but has NOT been traced (the trace starts
-  // only after the world stops): shade it so its old children are found.
-  shadeGray(H, S, X, S.allocationColor());
-}
-
 /// Records the inter-generational-pointer candidate created by a store
 /// into \p X: a dirty card over the slot (the paper's choice) or a
 /// remembered-set entry for X (the Section 3.1 alternative).  Card marking

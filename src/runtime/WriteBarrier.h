@@ -69,16 +69,10 @@ void markGraySimple(Heap &H, CollectorState &S, HandshakeStatus StatusM,
                     ObjectRef X, GrayCounters &Counters);
 
 /// Figure 4 MarkGray; also the DLG baseline's shade routine and the one the
-/// collector uses for roots and card scanning.
+/// collector uses for roots and card scanning, and the stop-the-world root
+/// shade.
 void markGrayClearOnly(Heap &H, CollectorState &S, ObjectRef X,
                        GrayCounters &Counters);
-
-/// Root shade for a stop-the-world park: shades clear-colored AND
-/// allocation-colored roots.  Before the world has stopped, "allocation
-/// color" does not mean "already traced" — a brand-new object can hold the
-/// only path to old clear-colored children, so it must be traced too.
-void markGrayForStw(Heap &H, CollectorState &S, ObjectRef X,
-                    GrayCounters &Counters);
 
 } // namespace gengc
 

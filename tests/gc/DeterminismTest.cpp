@@ -228,7 +228,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         DeterminismParam{CollectorChoice::Generational, false, "GenSimple"},
         DeterminismParam{CollectorChoice::Generational, true, "GenAging"},
-        DeterminismParam{CollectorChoice::NonGenerational, false, "Dlg"}),
+        DeterminismParam{CollectorChoice::NonGenerational, false, "Dlg"},
+        DeterminismParam{CollectorChoice::StopTheWorld, false, "Stw"}),
     [](const auto &Info) { return std::string(Info.param.Name); });
 
 } // namespace

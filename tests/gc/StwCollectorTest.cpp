@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "core/Runtime.h"
@@ -128,6 +129,45 @@ TEST(StwCollector, MultithreadedStopAndResume) {
   for (std::thread &T : Threads)
     T.join();
   EXPECT_GT(RT.collector().completedCycles(), 0u);
+}
+
+TEST(StwCollector, ChainBuiltWhileTheWorldStopsSurvives) {
+  // A thread runs on until its next cooperate(), so it can still allocate
+  // after StopWorld is raised.  Here it builds N2 -> N1 -> Old in that
+  // window and roots only N2: the trace must reach Old through two objects
+  // that did not exist when the pause began.  Anything allocated in the
+  // window must carry a color the trace treats as untraced.
+  Runtime RT(stwConfig());
+  CollectorState &State = RT.collector().state();
+  std::atomic<bool> Ready{false};
+  std::atomic<bool> Collected{false};
+  std::thread Worker([&] {
+    auto M = RT.attachMutator();
+    size_t Slot = M->pushRoot(M->allocate(0, 16));
+    Ready.store(true, std::memory_order_release);
+    while (!State.StopWorld.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    ObjectRef Old = M->root(Slot);
+    ObjectRef N1 = M->allocate(1, 16);
+    M->writeRef(N1, 0, Old);
+    ObjectRef N2 = M->allocate(1, 16);
+    M->writeRef(N2, 0, N1);
+    M->setRoot(Slot, N2);
+    M->cooperate(); // parks until the world resumes
+    while (!Collected.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    EXPECT_NE(RT.heap().loadColor(N2), Color::Blue);
+    EXPECT_NE(RT.heap().loadColor(N1), Color::Blue);
+    EXPECT_NE(RT.heap().loadColor(Old), Color::Blue)
+        << "an object reachable only through objects allocated while the "
+           "world stopped was freed";
+    M->popRoots(1);
+  });
+  while (!Ready.load(std::memory_order_acquire))
+    std::this_thread::yield();
+  RT.collector().collectSync(CycleRequest::Full);
+  Collected.store(true, std::memory_order_release);
+  Worker.join();
 }
 
 TEST(StwCollector, BlockedThreadsAreHandledByCollector) {

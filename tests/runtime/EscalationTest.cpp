@@ -10,8 +10,9 @@
 // collection, with the heap verifier on at every phase boundary and the
 // surviving object graph checksummed against a fault-free run of the same
 // workload.  Also covers the capped re-fire schedule's escalation counter
-// and per-mutator diagnostics, configuration validation, and the
-// fault-injected (TraceAbort) unwind with its forced-Full successor.
+// and per-mutator diagnostics, configuration validation, a degraded cycle
+// against a thread that never parks, and the fault-injected (TraceAbort)
+// unwind with its forced-Full successor.
 //
 //===----------------------------------------------------------------------===//
 
@@ -286,6 +287,48 @@ TEST(Escalation, AbortDegradeRecoverKeepsChecksum) {
 
   EXPECT_EQ(Builder.Checksum.load(), FaultFree)
       << "abort + degraded + recovery must not lose or clobber a live node";
+}
+
+TEST(Escalation, DegradedCycleReshadesAForcedThreadOnce) {
+  // A thread that never parks is forced in the degraded cycle's first
+  // world stop, before the color toggle.  The second stop must shade its
+  // roots again under the toggled colors, at once and without counting it
+  // a second time.
+  RuntimeConfig Config = manualConfig();
+  Config.Collector.Watchdog.DeadlineNanos = 2'000'000; // 2 ms
+  Config.Collector.Watchdog.EscalateAfterFires = 2;
+  Config.Collector.Watchdog.Policy = WatchdogPolicy::Escalate;
+  Config.Collector.Watchdog.OnStall = [](const StallReport &) {};
+  Runtime RT(Config);
+
+  std::atomic<bool> Attached{false}, Release{false};
+  ObjectRef Kept = NullRef;
+  std::thread WedgeThread([&] {
+    auto M = RT.attachMutator();
+    Kept = M->allocate(1, 24);
+    M->pushRoot(Kept);
+    Attached = true;
+    while (!Release.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    M->popRoots();
+  });
+  while (!Attached.load())
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+
+  RT.collector().collectSync(CycleRequest::Full); // escalates and aborts
+  RT.collector().collectSync(CycleRequest::Full); // degraded
+  Color KeptColor = RT.heap().loadColor(Kept);
+  Release = true;
+  WedgeThread.join();
+
+  GcRunStats Stats = RT.collector().statsSnapshot();
+  ASSERT_EQ(Stats.Cycles.size(), 2u);
+  EXPECT_TRUE(Stats.Cycles[0].Aborted);
+  EXPECT_TRUE(Stats.Cycles[1].Degraded);
+  EXPECT_EQ(Stats.Cycles[1].ForcedMutators, 1u)
+      << "a thread forced in the first stop counts once";
+  EXPECT_NE(KeptColor, Color::Blue)
+      << "the forced thread's root was not shaded after the toggle";
 }
 
 TEST(Escalation, TraceAbortFaultUnwindsAndForcesFull) {
