@@ -62,8 +62,7 @@ std::string RuntimeConfig::validate() const {
   // Generational-policy combinations (mirrors the collector's asserts, but
   // catchable before a thread is spawned).  Only checked for the
   // generational choice: fixupCollectorConfig strips Aging/RememberedSets
-  // from the other collectors, preserving the historical "the runtime
-  // fixes the trigger/choice invariants" behavior.
+  // from the other collectors rather than rejecting them.
   if (Choice == CollectorChoice::Generational) {
     if (Collector.Aging && Collector.RememberedSets)
       return "Aging with RememberedSets is unsupported: remembered sets "
@@ -110,10 +109,8 @@ std::string RuntimeConfig::validate() const {
 
 static CollectorConfig fixupCollectorConfig(const RuntimeConfig &Config) {
   CollectorConfig Fixed = Config.Collector;
-  // The trigger must agree with the collector choice; fix it up rather than
-  // making every caller remember the invariant.
-  Fixed.Trigger.Generational =
-      Config.Choice == CollectorChoice::Generational;
+  // Generation settings mean nothing without generations; drop them rather
+  // than making every caller clear them for the other collectors.
   if (Config.Choice != CollectorChoice::Generational) {
     Fixed.Aging = false;
     Fixed.RememberedSets = false;
@@ -134,20 +131,13 @@ Runtime::Runtime(const RuntimeConfig &Config)
     : Config(Config), TheHeap(validatedHeapConfig(Config)), Registry(State),
       Roots(TheHeap, State) {
   CollectorConfig GcConfig = fixupCollectorConfig(Config);
-  switch (Config.Choice) {
-  case CollectorChoice::Generational:
+  if (Config.Choice == CollectorChoice::Generational)
     Gc = std::make_unique<GenerationalCollector>(TheHeap, State, Registry,
                                                  Roots, GcConfig);
-    break;
-  case CollectorChoice::NonGenerational:
-    Gc = std::make_unique<DlgCollector>(TheHeap, State, Registry, Roots,
-                                        GcConfig);
-    break;
-  case CollectorChoice::StopTheWorld:
-    Gc = std::make_unique<StwCollector>(TheHeap, State, Registry, Roots,
-                                        GcConfig);
-    break;
-  }
+  else
+    Gc = std::make_unique<Collector>(
+        TheHeap, State, Registry, Roots, GcConfig,
+        /*StopsTheWorld=*/Config.Choice == CollectorChoice::StopTheWorld);
   if (Config.StartCollector)
     Gc->start();
 }

@@ -7,8 +7,8 @@
 /// \file
 /// The one-stop public API.  A Runtime bundles the heap, the shared
 /// collector state, the mutator registry, the global roots and a collector
-/// (generational or the DLG baseline), wires the allocation back-pressure,
-/// and starts the collector thread.
+/// (generational, the DLG baseline or the STW comparator), wires the
+/// allocation back-pressure, and starts the collector thread.
 ///
 /// Typical embedding:
 /// \code
@@ -32,9 +32,7 @@
 #include <string>
 
 #include "gc/Collector.h"
-#include "gc/DlgCollector.h"
 #include "gc/GenerationalCollector.h"
-#include "gc/StwCollector.h"
 #include "heap/Heap.h"
 #include "obs/GcObserver.h"
 #include "obs/Metrics.h"
@@ -52,7 +50,8 @@ enum class CollectorChoice : uint8_t {
   /// The non-generational DLG baseline (with the Remark 5.1 toggle).
   NonGenerational,
   /// A classic stop-the-world mark-sweep — NOT in the paper; a comparator
-  /// for pause-time studies (see gc/StwCollector.h).
+  /// for pause-time studies (a Collector constructed with StopsTheWorld;
+  /// see gc/Collector.h).
   StopTheWorld,
 };
 

@@ -18,11 +18,24 @@
 using namespace gengc;
 
 Collector::Collector(Heap &H, CollectorState &S, MutatorRegistry &Registry,
-                     GlobalRoots &Roots, const CollectorConfig &Config)
+                     GlobalRoots &Roots, const CollectorConfig &Config,
+                     bool StopsTheWorld)
+    : Collector(H, S, Registry, Roots, Config, SweepMode::NonGenerational,
+                StopsTheWorld) {
+  GENGC_ASSERT(!Config.Aging,
+               "the non-generational collectors have no aging mechanism");
+}
+
+Collector::Collector(Heap &H, CollectorState &S, MutatorRegistry &Registry,
+                     GlobalRoots &Roots, const CollectorConfig &Config,
+                     SweepMode Mode, bool StopsTheWorld)
     : H(H), State(S), Registry(Registry), Roots(Roots), Config(Config),
       Obs(Config.Obs, std::max(1u, Config.GcThreads)),
       Handshakes(S, Registry), Pool(Config.GcThreads),
-      TraceEngine(H, S, Pool), Trig(Config.Trigger, H.heapBytes()) {
+      TraceEngine(H, S, Pool),
+      Trig(Config.Trigger, Mode != SweepMode::NonGenerational, H.heapBytes()),
+      Plan{Config.Sweep, Mode, Config.OldestAge},
+      StopsTheWorld(StopsTheWorld) {
   Handshakes.setObsRing(Obs.laneRing(0));
   // The watchdog pointer must outlive the driver; the member copy of the
   // config does, the constructor parameter may not.
@@ -41,6 +54,16 @@ Collector::Collector(Heap &H, CollectorState &S, MutatorRegistry &Registry,
   State.ThrottleBytes.store(Config.Trigger.YoungBytes +
                                 Config.Trigger.YoungBytes / 2,
                             std::memory_order_relaxed);
+  // Card marking exists only for the generations (Figures 1 and 4).
+  State.Barrier.store(Mode == SweepMode::GenerationalAging ? BarrierKind::Aging
+                      : Mode == SweepMode::GenerationalSimple
+                          ? BarrierKind::Simple
+                          : BarrierKind::NonGenerational,
+                      std::memory_order_release);
+  if (lazySweep()) {
+    LazyEngine = std::make_unique<LazySweepEngine>(H, State, Plan, &Obs);
+    H.setLazySweeper(LazyEngine.get());
+  }
 }
 
 Collector::~Collector() {
@@ -49,16 +72,6 @@ Collector::~Collector() {
   // a shared heap); never leave it pointing at a dead engine.
   if (LazyEngine)
     H.setLazySweeper(nullptr);
-}
-
-void Collector::initSweepPlan(SweepMode Mode) {
-  Plan.Policy = Config.Sweep;
-  Plan.Mode = Mode;
-  Plan.OldestAge = Config.OldestAge;
-  if (Plan.Policy == SweepPolicy::Lazy) {
-    LazyEngine = std::make_unique<LazySweepEngine>(H, State, Plan, &Obs);
-    H.setLazySweeper(LazyEngine.get());
-  }
 }
 
 CyclePhase Collector::tracePhase() {
@@ -116,15 +129,6 @@ CyclePhase Collector::residuePhase() {
             // in between (one-cycle-lag attribution).
             LazyEngine->takeResults().addTo(C);
           }};
-}
-
-std::vector<CyclePhase>
-Collector::withResiduePhase(std::vector<CyclePhase> Phases) {
-  // The residue of the previous publish must drain before this cycle's
-  // color toggle, so the phase goes first.
-  if (lazySweep())
-    Phases.insert(Phases.begin(), residuePhase());
-  return Phases;
 }
 
 void Collector::start() {
@@ -289,11 +293,6 @@ bool Collector::waitOrAbort() {
   return false;
 }
 
-bool Collector::handshakeOrAbort(HandshakeStatus Status) {
-  Handshakes.post(Status);
-  return waitOrAbort();
-}
-
 bool Collector::abortPhaseEntry(FaultSite Site, GcPhase Phase) {
   if (!AllowAbort)
     return false;
@@ -446,43 +445,86 @@ void Collector::stopWorld(std::vector<uint64_t> &Forced) {
   }
 }
 
-CycleStats Collector::stopTheWorldCycle() {
+CycleStats Collector::runCycle(CycleRequest Kind) {
+  bool StopWorld = StopsTheWorld || InDegradedMode;
+  bool Full = !generationalPlan() || StopWorld || Kind == CycleRequest::Full;
   CycleStats Cycle;
-  Cycle.Kind =
-      generationalPlan() ? CycleKind::Full : CycleKind::NonGenerational;
+  Cycle.Kind = !generationalPlan() ? CycleKind::NonGenerational
+               : Full              ? CycleKind::Full
+                                   : CycleKind::Partial;
   if (generationalPlan())
     Cycle.AllocatedCards = H.countAllocatedCards();
   Cycle.GcWorkers = Pool.lanes();
 
-  runCyclePhases(
-      State,
-      // The residue drain runs before the world stops — it contends only
-      // on shard/stash mutexes, so running it concurrently is safe.
-      withResiduePhase({
-          {GcPhase::Clear, &CycleStats::ClearNanos,
-           [this](CycleStats &C) {
-             // Stop, init, toggle, then stop again: once every thread is
-             // stopped nothing untraced can get the new allocation color,
-             // and the second epoch makes every stopped thread re-shade
-             // its roots under the toggled colors.
-             std::vector<uint64_t> Forced;
-             stopWorld(Forced);
-             initFullCollection(C);
-             State.switchAllocationClearColors();
-             stopWorld(Forced);
-             C.ForcedMutators += Forced.size();
-           }},
+  std::vector<CyclePhase> Phases;
+  // The residue of the previous publish must drain before this cycle's
+  // color toggle, so the phase goes first.  It contends only on shard and
+  // stash mutexes, so it runs before the world stops, too.
+  if (lazySweep())
+    Phases.push_back(residuePhase());
+  if (StopWorld) {
+    Phases.push_back({GcPhase::Clear, &CycleStats::ClearNanos,
+                      [this](CycleStats &C) {
+                        // Stopping before the toggle keeps untraced
+                        // objects out of the traced color; the second
+                        // stop re-shades every root under the new colors.
+                        std::vector<uint64_t> Forced;
+                        stopWorld(Forced);
+                        initFullCollection(C);
+                        State.switchAllocationClearColors();
+                        stopWorld(Forced);
+                        C.ForcedMutators += Forced.size();
+                      }});
+    Phases.push_back({GcPhase::Mark, &CycleStats::MarkNanos,
+                      [this](CycleStats &) { Roots.markAll(CollectorGrays); }});
+  } else {
+    // clear stage (Figure 2 / Figure 5): the first handshake activates the
+    // write barriers.
+    Phases.push_back({GcPhase::Clear, &CycleStats::ClearNanos,
+                      [this, Full](CycleStats &C) {
+                        if (Full)
+                          initFullCollection(C);
+                        Handshakes.post(HandshakeStatus::Sync1);
+                        waitOrAbort();
+                      }});
+    // mark stage: the second handshake brackets ClearCards and the color
+    // toggle, in an order that differs between the generational variants:
+    //   simple: ClearCards, then toggle (Figure 2) — a yellow object can
+    //           only appear after its parent's card was already scanned;
+    //   aging:  toggle, then ClearCards (Figure 5) — ClearCards must see
+    //           post-toggle colors to shade young sons correctly.
+    // The third handshake makes every mutator shade its own roots.  An
+    // escalated wait aborts the cycle: return promptly, the pipeline's
+    // AbortCheck hands control to abortCycle.
+    bool CardsFirst = Plan.Mode == SweepMode::GenerationalSimple;
+    Phases.push_back({GcPhase::Mark, &CycleStats::MarkNanos,
+                      [this, Full, CardsFirst](CycleStats &C) {
+                        Handshakes.post(HandshakeStatus::Sync2);
+                        if (!CardsFirst)
+                          State.switchAllocationClearColors();
+                        if (!Full) {
+                          uint64_t ScanStart = nowNanos();
+                          clearCards(C);
+                          C.CardScanNanos = nowNanos() - ScanStart;
+                        }
+                        if (CardsFirst)
+                          State.switchAllocationClearColors();
+                        if (!waitOrAbort())
+                          return;
 
-          {GcPhase::Mark, &CycleStats::MarkNanos,
-           [this](CycleStats &) { Roots.markAll(CollectorGrays); }},
+                        Handshakes.post(HandshakeStatus::Async);
+                        Roots.markAll(CollectorGrays);
+                        waitOrAbort();
+                      }});
+  }
+  Phases.push_back(tracePhase());
+  Phases.push_back(sweepPhase());
 
-          tracePhase(),
-          sweepPhase(),
-      }),
-      Cycle, Obs.laneRing(0), verifyHook(/*FullCycle=*/true));
-
+  runCyclePhases(State, Phases, Cycle, Obs.laneRing(0), verifyHook(Full),
+                 [this] { return abortPending(); });
   // runCyclePhases already published Idle; resume the world after it.
-  State.StopWorld.store(false, std::memory_order_seq_cst);
+  if (StopWorld)
+    State.StopWorld.store(false, std::memory_order_seq_cst);
   return Cycle;
 }
 
@@ -501,10 +543,10 @@ void Collector::runOneCycle(CycleRequest Kind) {
     Kind = CycleRequest::Full;
   }
 
-  // Per-cycle abort state: only the on-the-fly cycles of collectors that
-  // opted in can abort, and the degraded fallback never does (an armed
-  // abort site must not silently skip a sweep it has no unwind for).
-  AllowAbort = AbortableCycles && !InDegradedMode;
+  // Per-cycle abort state: only an on-the-fly cycle can abort; a stopped-
+  // world cycle never does (an armed abort site must not silently skip a
+  // sweep it has no unwind for).
+  AllowAbort = !StopsTheWorld && !InDegradedMode;
   AbortCycleFlag = false;
   EscalatedAbort = false;
   AbortPhase = GcPhase::Idle;
@@ -517,7 +559,7 @@ void Collector::runOneCycle(CycleRequest Kind) {
   StopWatch Watch;
   Watch.start();
   bool WasDegraded = InDegradedMode;
-  CycleStats Cycle = WasDegraded ? stopTheWorldCycle() : runCycle(Kind);
+  CycleStats Cycle = runCycle(Kind);
   Cycle.Degraded = WasDegraded;
   if (AbortCycleFlag)
     abortCycle(Cycle);

@@ -5,11 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The collector base class: one dedicated thread that waits for a trigger
-/// (or an explicit request), runs a collection cycle concurrently with the
-/// mutators, and records statistics.  Subclasses implement the cycle itself:
-/// DlgCollector (the non-generational baseline of Section 2, with the
-/// Remark 5.1 color toggle) and GenerationalCollector (Sections 3-7).
+/// The collector: one dedicated thread that waits for a trigger (or an
+/// explicit request), runs a collection cycle, and records statistics.
+/// Constructed directly, it is the non-generational DLG baseline of
+/// Section 2 with the Remark 5.1 color toggle ("black" is the current
+/// allocation color), or, with StopsTheWorld, a classic stop-the-world
+/// mark-sweep comparator (NOT in the paper's evaluation; the pause-time
+/// ablation uses it).  GenerationalCollector (Sections 3-7) differs from
+/// the baseline only in its generations, so it overrides hooks, not the
+/// cycle: every cycle of every collector is built by the one runCycle.
 ///
 /// The collector also implements the allocation back-pressure hook: a
 /// mutator that finds the heap exhausted calls waitForMemory(), which
@@ -110,18 +114,23 @@ struct CollectorConfig {
   /// historical whole-heap Sweep phase; Lazy ends the cycle by publishing
   /// blocks needs-sweep, letting mutators sweep on demand and the
   /// collector drain the residue.  Combined with the collector's mode and
-  /// OldestAge into the single SweepPlan built by Collector::initSweepPlan
+  /// OldestAge into the single SweepPlan the Collector constructor builds
   /// — the one place a sweep configuration is constructed.
   SweepPolicy Sweep = SweepPolicy::Eager;
 };
 
 class LazySweepEngine;
 
-/// Base class of both collectors.
+/// The DLG baseline and the STW comparator, and the base of the
+/// generational collector.
 class Collector : public MemoryWaiter {
 public:
+  /// The DLG baseline, or the STW comparator when \p StopsTheWorld is set.
+  /// Every cycle collects the whole heap; the trigger is the "heap almost
+  /// full" rule alone (Section 8: identical with and without generations).
   Collector(Heap &H, CollectorState &S, MutatorRegistry &Registry,
-            GlobalRoots &Roots, const CollectorConfig &Config);
+            GlobalRoots &Roots, const CollectorConfig &Config,
+            bool StopsTheWorld = false);
   ~Collector() override;
 
   Collector(const Collector &) = delete;
@@ -194,18 +203,22 @@ public:
   void removeObserver(GcObserver &Observer);
 
 protected:
-  /// Runs one cycle; implemented by subclasses.
-  virtual CycleStats runCycle(CycleRequest Kind) = 0;
+  /// Builds a collector whose sweep, write barrier and trigger follow
+  /// \p Mode: the sweep plan (and, under the lazy policy, the
+  /// LazySweepEngine installed as the heap's LazySweeper hook), the
+  /// barrier kind, and whether the trigger requests partial cycles.
+  Collector(Heap &H, CollectorState &S, MutatorRegistry &Registry,
+            GlobalRoots &Roots, const CollectorConfig &Config, SweepMode Mode,
+            bool StopsTheWorld);
 
   //===--------------------------------------------------------------------===
   // Cycle recovery (WatchdogPolicy::Escalate; DESIGN.md §19).
   //===--------------------------------------------------------------------===
 
-  /// post + wait with escalation support: a wait() that escalated (every
-  /// laggard force-adopted) flips the cycle into the aborting state and
-  /// returns false — the phase body must return promptly so abortCycle can
-  /// unwind.  Plain pass-throughs when no escalation happens.
-  bool handshakeOrAbort(HandshakeStatus Status);
+  /// Handshake wait with escalation support: a wait() that escalated
+  /// (every laggard force-adopted) flips the cycle into the aborting state
+  /// and returns false — the phase body must return promptly so abortCycle
+  /// can unwind.  A plain pass-through when no escalation happens.
   bool waitOrAbort();
 
   /// Consults an abort fault site at a phase entry: returns true when the
@@ -238,21 +251,17 @@ protected:
   /// GenerationalCollector overrides to keep the old generation black.
   virtual void abortRecolor();
 
-  /// One whole-heap cycle with the world stopped: every cycle of the STW
-  /// comparator and each cycle of the degraded fallback (DESIGN.md §19).
-  /// Stops the world, runs initFullCollection, toggles the colors, then
-  /// stops the world again under a new epoch so every stopped thread
-  /// re-shades its roots under the toggled colors; marks the global roots,
-  /// traces and sweeps, and resumes the world.  Stopping before the toggle
-  /// means nothing a still-running thread allocates can carry the color
-  /// the trace treats as done.  The cycle is Full under a generational
-  /// plan and NonGenerational otherwise.
-  CycleStats stopTheWorldCycle();
-
-  /// Runs with the world stopped, before stopTheWorldCycle's toggle — and
-  /// before a concurrent Full cycle's first handshake.  The generational
-  /// collector's InitFullCollection; nothing to do for the others.
+  /// Runs before the color toggle of every whole-heap cycle: before the
+  /// first handshake on the fly, with the world stopped otherwise.  The
+  /// generational collector's InitFullCollection; nothing to do for the
+  /// baseline.
   virtual void initFullCollection(CycleStats &) {}
+
+  /// ClearCards of a partial cycle (the generational collector's card scan
+  /// or remembered-set drain), run by the mark phase on the simple-
+  /// promotion side of the toggle before it and on the aging side after
+  /// it.  The baseline runs no partial cycles.
+  virtual void clearCards(CycleStats &) {}
 
   /// Bumps the stop epoch, raises StopWorld and waits until every mutator
   /// has parked and shaded its roots for the new epoch, or is blocked
@@ -283,11 +292,9 @@ protected:
     }
   }
 
-  /// Set by DlgCollector/GenerationalCollector: their on-the-fly cycles
-  /// know how to abort.  The STW comparator leaves it false — its cycle
-  /// has no handshake waits and no unwind.
-  bool AbortableCycles = false;
-  /// Computed per cycle: AbortableCycles and not running degraded.
+  /// Computed per cycle: only an on-the-fly cycle can abort.  A stopped-
+  /// world cycle (the STW comparator, the degraded fallback) has no
+  /// handshake waits and no unwind.
   bool AllowAbort = false;
   /// This cycle has decided to abort; phase bodies return early and the
   /// pipeline stops (abortPending).
@@ -323,13 +330,6 @@ protected:
   /// the whole heap.
   std::function<void(GcPhase)> verifyHook(bool FullCycle);
 
-  /// Builds this collector's SweepPlan from Config (policy, \p Mode, the
-  /// tenuring threshold) and, under the lazy policy, constructs the
-  /// LazySweepEngine and installs it as the heap's LazySweeper hook.
-  /// Called exactly once, from each concrete collector's constructor —
-  /// collectors no longer assemble sweep configurations at call sites.
-  void initSweepPlan(SweepMode Mode);
-
   /// The Trace phase of every cycle: traces the gray work with
   /// tracedBlackColor() and records the trace statistics.  Bytes traced
   /// is the live estimate, except under an eager generational plan, where
@@ -351,9 +351,6 @@ protected:
   /// this cycle's color toggle, which keeps every block swept under its
   /// publish epoch.
   CyclePhase residuePhase();
-
-  /// Prepends residuePhase() under the lazy policy; returns \p Phases.
-  std::vector<CyclePhase> withResiduePhase(std::vector<CyclePhase> Phases);
 
   /// True when this collector runs the lazy sweep policy.
   bool lazySweep() const { return Plan.Policy == SweepPolicy::Lazy; }
@@ -390,7 +387,7 @@ protected:
   Trigger Trig;
   GrayCounters CollectorGrays;
 
-  /// The validated reclamation strategy (see initSweepPlan).
+  /// The validated reclamation strategy, fixed at construction.
   SweepPlan Plan;
   /// Per-block sweep engine; non-null only under SweepPolicy::Lazy.
   /// Installed into the heap as its LazySweeper hook for the lifetime of
@@ -400,6 +397,22 @@ protected:
 private:
   void threadLoop();
   void runOneCycle(CycleRequest Kind);
+
+  /// Runs one cycle of \p Kind; every collector's every cycle.  The Clear
+  /// and Mark phases run through handshakes (Figures 2 and 5), or with the
+  /// world stopped for the STW comparator and the degraded fallback
+  /// (DESIGN.md §19): stop the world, initFullCollection, toggle the
+  /// colors, then stop it again under a new epoch so every stopped thread
+  /// re-shades its roots under the toggled colors.  Stopping before the
+  /// toggle means nothing a still-running thread allocates can carry the
+  /// color the trace treats as done.  Plan.Mode decides the rest: a
+  /// non-generational cycle is whole-heap, a generational one Partial
+  /// unless \p Kind or a stopped world makes it Full.  The residue, trace
+  /// and sweep phases are shared.
+  CycleStats runCycle(CycleRequest Kind);
+
+  /// The STW comparator: every cycle runs with the world stopped.
+  const bool StopsTheWorld;
 
   /// Invokes every registered observer for \p Cycle.  Runs on the collector
   /// thread with no collector lock held (only ObserverMutex, which

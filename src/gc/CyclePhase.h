@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The collection cycle as an explicit pipeline of phases.  Every collector
-/// (DLG baseline, generational, stop-the-world comparator) expresses its
-/// runCycle as an ordered list of CyclePhase entries; the pipeline runner
-/// publishes each phase to the shared CollectorState (the write barrier's
-/// "Collector is tracing" test reads it), runs the phase body, and records
-/// its wall time into the per-cycle statistics slot the phase names.
+/// The collection cycle as an explicit pipeline of phases.
+/// Collector::runCycle expresses every cycle of every collector (DLG
+/// baseline, generational, stop-the-world comparator, degraded fallback)
+/// as an ordered list of CyclePhase entries; the pipeline runner publishes
+/// each phase to the shared CollectorState (the write barrier's "Collector
+/// is tracing" test reads it), runs the phase body, and records its wall
+/// time into the per-cycle statistics slot the phase names.
 ///
 /// The pipeline changes *how the cycle is organized*, not *what it does*:
 /// phase order, the handshake points inside the bodies, and the color

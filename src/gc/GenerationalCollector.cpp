@@ -8,7 +8,6 @@
 
 #include <algorithm>
 
-#include "gc/CyclePhase.h"
 #include "runtime/ObjectModel.h"
 #include "support/FaultInjector.h"
 #include "support/Timer.h"
@@ -159,25 +158,19 @@ GenerationalCollector::GenerationalCollector(Heap &H, CollectorState &S,
                                              MutatorRegistry &Registry,
                                              GlobalRoots &Roots,
                                              const CollectorConfig &Config)
-    : Collector(H, S, Registry, Roots, Config) {
-  GENGC_ASSERT(Config.Trigger.Generational,
-               "generational collector needs the young-generation trigger");
+    : Collector(H, S, Registry, Roots, Config,
+                Config.Aging ? SweepMode::GenerationalAging
+                             : SweepMode::GenerationalSimple,
+                /*StopsTheWorld=*/false) {
   GENGC_ASSERT(!Config.Aging || Config.OldestAge >= 2,
                "aging threshold below 2 is meaningless (allocation age is 1)");
   GENGC_ASSERT(!(Config.RememberedSets && Config.Aging),
                "remembered sets are implemented for simple promotion only "
                "(the paper used cards exclusively; Section 3.1)");
-  State.Barrier.store(Config.Aging ? BarrierKind::Aging : BarrierKind::Simple,
-                      std::memory_order_release);
   State.UseRememberedSets.store(Config.RememberedSets,
                                 std::memory_order_release);
   if (Config.Aging)
     TraceEngine.setAgingThreshold(Config.OldestAge);
-  initSweepPlan(Config.Aging ? SweepMode::GenerationalAging
-                             : SweepMode::GenerationalSimple);
-  // The on-the-fly cycle knows how to abort (WatchdogPolicy::Escalate and
-  // the TraceAbort/SweepAbort fault sites; DESIGN.md §19).
-  AbortableCycles = true;
 }
 
 void GenerationalCollector::abortRecolor() {
@@ -261,6 +254,15 @@ void GenerationalCollector::initFullCollection(CycleStats &Cycle) {
   H.cards().clearAll();
   H.pages().touchRange(Region::CardTable, 0, H.cards().numCards());
   H.pages().touchRange(Region::CardSummary, 0, H.cards().numSummaryChunks());
+}
+
+void GenerationalCollector::clearCards(CycleStats &Cycle) {
+  if (Config.Aging)
+    clearCardsAging(Cycle);
+  else if (Config.RememberedSets)
+    drainRememberedSet(Cycle);
+  else
+    clearCardsSimple(Cycle);
 }
 
 void GenerationalCollector::clearCardsSimple(CycleStats &Cycle) {
@@ -397,70 +399,4 @@ void GenerationalCollector::clearCardsAging(CycleStats &Cycle) {
       });
   for (const CardScanStats &S : LaneStats)
     S.addTo(Cycle);
-}
-
-CycleStats GenerationalCollector::runCycle(CycleRequest Kind) {
-  bool Full = Kind == CycleRequest::Full;
-  CycleStats Cycle;
-  Cycle.Kind = Full ? CycleKind::Full : CycleKind::Partial;
-  Cycle.AllocatedCards = H.countAllocatedCards();
-  Cycle.GcWorkers = Pool.lanes();
-
-  runCyclePhases(
-      State,
-      withResiduePhase({
-          // clear stage (Figure 2 / Figure 5).
-          {GcPhase::Clear, &CycleStats::ClearNanos,
-           [&](CycleStats &C) {
-             if (Full)
-               initFullCollection(C);
-             handshakeOrAbort(HandshakeStatus::Sync1);
-           }},
-
-          // mark stage.  Order matters and differs between the variants:
-          //   simple: ClearCards, then toggle (Figure 2) — a yellow object
-          //           can only appear after its parent's card was already
-          //           scanned;
-          //   aging:  toggle, then ClearCards (Figure 5) — ClearCards must
-          //           see post-toggle colors to shade young sons correctly.
-          {GcPhase::Mark, &CycleStats::MarkNanos,
-           [&](CycleStats &C) {
-             Handshakes.post(HandshakeStatus::Sync2);
-             if (Config.Aging) {
-               State.switchAllocationClearColors();
-               if (!Full) {
-                 uint64_t ScanStart = nowNanos();
-                 clearCardsAging(C);
-                 C.CardScanNanos = nowNanos() - ScanStart;
-               }
-             } else {
-               if (!Full) {
-                 uint64_t ScanStart = nowNanos();
-                 if (Config.RememberedSets)
-                   drainRememberedSet(C);
-                 else
-                   clearCardsSimple(C);
-                 C.CardScanNanos = nowNanos() - ScanStart;
-               }
-               State.switchAllocationClearColors();
-             }
-             if (!waitOrAbort())
-               return;
-
-             Handshakes.post(HandshakeStatus::Async);
-             Roots.markAll(CollectorGrays);
-             waitOrAbort();
-           }},
-
-          // trace: black marks promoted/old objects in both variants.
-          tracePhase(),
-
-          // reclamation: eager whole-heap sweep, or lazy publish.  The
-          // eager path computes the generational live estimate
-          // (LiveBytesAfter - AllocColoredBytes).
-          sweepPhase(),
-      }),
-      Cycle, Obs.laneRing(0), verifyHook(Full),
-      [this] { return abortPending(); });
-  return Cycle;
 }

@@ -29,15 +29,14 @@
 
 namespace gengc {
 
-/// The generational collector, in simple-promotion or aging mode.
+/// The generational collector, in simple-promotion or aging mode.  It runs
+/// the base cycle; its generations live in the hooks below.
 class GenerationalCollector : public Collector {
 public:
   GenerationalCollector(Heap &H, CollectorState &S, MutatorRegistry &Registry,
                         GlobalRoots &Roots, const CollectorConfig &Config);
 
 protected:
-  CycleStats runCycle(CycleRequest Kind) override;
-
   /// Both generational variants trace with Black (promoted/old objects), so
   /// the verifier's post-trace check keys on Black, not the allocation
   /// color.
@@ -60,6 +59,10 @@ protected:
   /// mark or remembered-set entry; under aging (Figure 6) dirty cards
   /// survive, they stay relevant for the following partial collections.
   void initFullCollection(CycleStats &Cycle) override;
+
+  /// ClearCards of a partial cycle: clearCardsAging under aging,
+  /// drainRememberedSet with remembered sets, clearCardsSimple otherwise.
+  void clearCards(CycleStats &Cycle) override;
 
 private:
   /// Recolors every black or gray object to the current allocation color.

@@ -8,8 +8,8 @@
 /// The sweep configuration shared by the collectors, the Sweeper and the
 /// lazy-sweep engine.  Collectors used to hand SweepMode + OldestAge to
 /// sweepParallel as loose arguments; SweepPlan bundles the whole reclamation
-/// strategy into one validated object built in exactly one place
-/// (Collector::initSweepPlan).
+/// strategy into one validated object built in exactly one place (the
+/// Collector constructor).
 ///
 /// SweepPolicy selects *when* reclamation happens:
 ///
@@ -52,7 +52,6 @@ enum class SweepPolicy : uint8_t {
   Lazy,  ///< Blocks are published needs-sweep; mutators sweep on demand.
 };
 
-const char *sweepModeName(SweepMode Mode);
 const char *sweepPolicyName(SweepPolicy Policy);
 
 /// The complete, validated reclamation strategy for one collector instance.

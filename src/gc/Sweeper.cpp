@@ -13,18 +13,6 @@
 
 using namespace gengc;
 
-const char *gengc::sweepModeName(SweepMode Mode) {
-  switch (Mode) {
-  case SweepMode::NonGenerational:
-    return "non-generational";
-  case SweepMode::GenerationalSimple:
-    return "generational-simple";
-  case SweepMode::GenerationalAging:
-    return "generational-aging";
-  }
-  return "invalid";
-}
-
 const char *gengc::sweepPolicyName(SweepPolicy Policy) {
   switch (Policy) {
   case SweepPolicy::Eager:

@@ -13,8 +13,9 @@
 
 using namespace gengc;
 
-Trigger::Trigger(const TriggerPolicy &Policy, uint64_t MaxHeapBytes)
-    : Policy(Policy), MaxHeapBytes(MaxHeapBytes),
+Trigger::Trigger(const TriggerPolicy &Policy, bool Generational,
+                 uint64_t MaxHeapBytes)
+    : Policy(Policy), Generational(Generational), MaxHeapBytes(MaxHeapBytes),
       SoftLimit(std::min(Policy.InitialSoftBytes, MaxHeapBytes)) {}
 
 CycleRequest Trigger::evaluate(const Heap &H) const {
@@ -22,7 +23,7 @@ CycleRequest Trigger::evaluate(const Heap &H) const {
   uint64_t Soft = SoftLimit.load(std::memory_order_relaxed);
   if (double(Used) >= Policy.FullFraction * double(Soft))
     return CycleRequest::Full;
-  if (Policy.Generational && H.allocatedSinceGcBytes() >= Policy.YoungBytes)
+  if (Generational && H.allocatedSinceGcBytes() >= Policy.YoungBytes)
     return CycleRequest::Partial;
   return CycleRequest::None;
 }

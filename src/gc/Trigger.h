@@ -46,15 +46,16 @@ struct TriggerPolicy {
   /// Full collection fires when used bytes exceed this fraction of the
   /// soft limit.
   double FullFraction = 0.8;
-
-  /// Generate Partial requests at all (false for the DLG baseline).
-  bool Generational = true;
 };
 
 /// Stateful trigger evaluated by the collector thread between cycles.
 class Trigger {
 public:
-  Trigger(const TriggerPolicy &Policy, uint64_t MaxHeapBytes);
+  /// \p Generational: the collector has generations, so the trigger also
+  /// requests Partial cycles (false for the DLG baseline and the STW
+  /// comparator).
+  Trigger(const TriggerPolicy &Policy, bool Generational,
+          uint64_t MaxHeapBytes);
 
   /// Decides whether a collection should start now.
   CycleRequest evaluate(const Heap &H) const;
@@ -70,10 +71,12 @@ public:
     return SoftLimit.load(std::memory_order_relaxed);
   }
 
-  const TriggerPolicy &policy() const { return Policy; }
+  /// Whether this trigger requests Partial cycles.
+  bool generational() const { return Generational; }
 
 private:
   TriggerPolicy Policy;
+  bool Generational;
   uint64_t MaxHeapBytes;
   std::atomic<uint64_t> SoftLimit;
 };

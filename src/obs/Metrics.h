@@ -94,8 +94,9 @@ struct MetricsSnapshot {
   //===-- Latency histograms (always on) ----------------------------------===
   /// Voluntary allocation stalls (throttle + out-of-memory waits).
   HistogramSnapshot StallNanos;
-  /// True stop-the-world parks (StwCollector only; empty for the paper's
-  /// on-the-fly collectors — their headline property).
+  /// True stop-the-world parks (the STW comparator and the degraded
+  /// fallback only; empty for the paper's on-the-fly collectors — their
+  /// headline property).
   HistogramSnapshot StwPauseNanos;
   /// Handshake request-to-response latency, one sample per mutator per
   /// handshake.

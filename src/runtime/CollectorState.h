@@ -100,8 +100,8 @@ struct CollectorState {
   /// a shade whose enqueue is still in flight can never be missed.
   std::atomic<int64_t> InFlightShades{0};
 
-  /// Stop-the-world support (the StwCollector comparator and the degraded
-  /// fallback, not used by the paper's on-the-fly cycles): when set, every
+  /// Stop-the-world support (the STW comparator and the degraded fallback,
+  /// not used by the paper's on-the-fly cycles): when set, every
   /// mutator parks at its next cooperate() after shading its own roots,
   /// and stays parked until cleared.
   std::atomic<bool> StopWorld{false};
@@ -115,9 +115,6 @@ struct CollectorState {
   /// toggle, or back-to-back cycles would treat stale parkers as stopped
   /// and sweep their never-reshaded roots.
   std::atomic<uint64_t> StopEpoch{0};
-
-  /// Number of mutators currently parked for a stop-the-world pause.
-  std::atomic<int64_t> ParkedMutators{0};
 
   /// Allocation budget (bytes since the last collection) past which
   /// mutators stall while a cycle is in progress.  Concurrent collectors

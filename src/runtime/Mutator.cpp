@@ -383,7 +383,6 @@ void Mutator::parkForStopTheWorld() {
   // while this thread sleeps — the pause's own toggle comes after the
   // first epoch, and a new pause can begin before this thread wakes from
   // the previous one — so a stale shading must never be trusted.
-  State.ParkedMutators.fetch_add(1, std::memory_order_acq_rel);
   uint64_t Start = nowNanos();
   uint64_t ShadedFor = 0;
   Backoff Back(/*InitialNanos=*/5 * 1000, /*CapNanos=*/100 * 1000);
@@ -405,7 +404,6 @@ void Mutator::parkForStopTheWorld() {
   }
   StwParkedEpoch.store(0, std::memory_order_release);
   recordPause(nowNanos() - Start, /*StopTheWorld=*/true);
-  State.ParkedMutators.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 bool Mutator::markRootsIfBlockedForStw() {

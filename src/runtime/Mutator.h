@@ -242,9 +242,6 @@ public:
 
   /// Registration id (assigned by the registry; stable, never reused).
   uint64_t id() const { return Id; }
-  /// The central-list shard this mutator's refills and flushes prefer
-  /// (Heap::homeShardFor of the registration id).
-  unsigned homeShard() const { return HomeShard; }
 
   uint64_t allocatedObjects() const {
     return AllocObjects.load(std::memory_order_relaxed);
@@ -276,10 +273,10 @@ public:
   /// a true world-stop park rather than a voluntary stall.
   void recordPause(uint64_t Nanos, bool StopTheWorld = false);
 
-  /// Shades this mutator's roots and parks until StopWorld clears
-  /// (Collector::stopTheWorldCycle), re-shading on every new stop epoch.
-  /// Called from cooperate(); public so tests can drive the protocol
-  /// directly.
+  /// Shades this mutator's roots and parks until StopWorld clears (a
+  /// stopped-world Collector::runCycle), re-shading on every new stop
+  /// epoch.  Called from cooperate(); public so tests can drive the
+  /// protocol directly.
   void parkForStopTheWorld();
 
   /// Collector side: if this mutator is blocked, shade its roots on its

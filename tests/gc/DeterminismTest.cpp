@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "core/Runtime.h"
 #include "support/Random.h"
 
@@ -92,10 +94,19 @@ GcRunStats runWorkload(CollectorChoice Choice, bool Aging,
 }
 
 struct DeterminismParam {
+  DeterminismParam(CollectorChoice Choice, bool Aging, const char *Name)
+      : Choice(Choice), Aging(Aging), Name(Name) {}
+
   CollectorChoice Choice;
   bool Aging;
+  // gtest names each case after the raw bytes of its parameter, so the
+  // bytes between Aging and Name are spelled out and zeroed: as implicit
+  // padding they carried stack garbage into the test name.
+  uint8_t Padding[6] = {};
   const char *Name;
 };
+static_assert(sizeof(DeterminismParam) == 16,
+              "DeterminismParam has implicit padding");
 
 class DeterminismTest : public ::testing::TestWithParam<DeterminismParam> {};
 
@@ -176,6 +187,90 @@ void expectSameCountsAcrossLaneCounts(const GcRunStats &One,
     EXPECT_EQ(A.LiveObjectsAfter, B.LiveObjectsAfter);
     EXPECT_EQ(A.LiveBytesAfter, B.LiveBytesAfter);
     EXPECT_EQ(A.LiveEstimateBytes, B.LiveEstimateBytes);
+  }
+}
+
+/// The counts the golden table pins, in column order.
+struct GoldenField {
+  const char *Name;
+  uint64_t CycleStats::*Field;
+};
+constexpr GoldenField GoldenFields[] = {
+    {"AllocatedCards", &CycleStats::AllocatedCards},
+    {"ObjectsTraced", &CycleStats::ObjectsTraced},
+    {"BytesTraced", &CycleStats::BytesTraced},
+    {"YoungSurvivors", &CycleStats::YoungSurvivors},
+    {"YoungSurvivorBytes", &CycleStats::YoungSurvivorBytes},
+    {"DirtyCardsAtStart", &CycleStats::DirtyCardsAtStart},
+    {"OldObjectsScanned", &CycleStats::OldObjectsScanned},
+    {"CardScanAreaBytes", &CycleStats::CardScanAreaBytes},
+    {"CardsRemarked", &CycleStats::CardsRemarked},
+    {"SummaryChunksScanned", &CycleStats::SummaryChunksScanned},
+    {"CardsSkippedBySummary", &CycleStats::CardsSkippedBySummary},
+    {"ObjectsFreed", &CycleStats::ObjectsFreed},
+    {"BytesFreed", &CycleStats::BytesFreed},
+    {"LiveObjectsAfter", &CycleStats::LiveObjectsAfter},
+    {"LiveBytesAfter", &CycleStats::LiveBytesAfter},
+    {"LiveEstimateBytes", &CycleStats::LiveEstimateBytes},
+};
+
+struct GoldenCycle {
+  CycleKind Kind;
+  uint64_t Counts[std::size(GoldenFields)];
+};
+
+// The per-cycle counts of runWorkload at one lane under the eager sweep.
+// The other tests here compare runs with each other, so a change that
+// alters what *every* run collects passes them; this table catches it.
+// Re-record it only for a change meant to collect differently.  One
+// mutator hashes to allocation shard 0, so the counts do not depend on
+// the core count.
+constexpr CycleKind Partial = CycleKind::Partial;
+constexpr CycleKind Full = CycleKind::Full;
+constexpr CycleKind NonGen = CycleKind::NonGenerational;
+
+constexpr GoldenCycle SimplePromotionCycles[] = {
+    {Full, {16384, 85, 5408, 85, 5408, 1987, 0, 0, 0, 0, 0, 1902, 120224, 85, 5408, 5408}},
+    {Partial, {16384, 143, 8816, 136, 8416, 2025, 7, 128432, 0, 132, 1040128, 1882, 119616, 221, 13824, 13824}},
+    {Full, {16384, 136, 8416, 136, 8416, 2040, 0, 0, 0, 0, 0, 2118, 137056, 136, 8416, 8416}},
+    {Partial, {16384, 143, 8992, 135, 8416, 1980, 8, 125504, 0, 135, 1039936, 1837, 116512, 271, 16832, 16832}},
+    {Full, {16384, 134, 9104, 134, 9104, 2055, 0, 0, 0, 0, 0, 2184, 138608, 134, 9104, 9104}},
+    {Partial, {16384, 188, 11152, 181, 10704, 2024, 7, 129168, 0, 137, 1039808, 1836, 118016, 315, 19808, 19808}},
+};
+
+constexpr GoldenCycle AgingCycles[] = {
+    {Full, {16384, 85, 5408, 85, 5408, 1987, 0, 0, 0, 0, 0, 1902, 120224, 85, 5408, 5408}},
+    {Partial, {16384, 135, 8384, 135, 8384, 2576, 0, 0, 0, 157, 1038528, 1968, 125056, 135, 8384, 8384}},
+    {Full, {16384, 136, 8416, 136, 8416, 2040, 0, 0, 0, 0, 0, 2032, 131616, 136, 8416, 8416}},
+    {Partial, {16384, 133, 8320, 133, 8320, 2518, 0, 0, 0, 156, 1038592, 1975, 125024, 133, 8320, 8320}},
+    {Full, {16384, 134, 9104, 134, 9104, 2055, 0, 0, 0, 0, 0, 2046, 130096, 134, 9104, 9104}},
+    {Partial, {16384, 178, 10544, 178, 10544, 2759, 0, 0, 0, 168, 1037824, 1973, 127280, 178, 10544, 10544}},
+};
+
+// The DLG baseline and the STW comparator collect exactly the same.
+constexpr GoldenCycle WholeHeapCycles[] = {
+    {NonGen, {0, 85, 5408, 85, 5408, 0, 0, 0, 0, 0, 0, 1902, 120224, 85, 5408, 5408}},
+    {NonGen, {0, 135, 8384, 135, 8384, 0, 0, 0, 0, 0, 0, 1968, 125056, 135, 8384, 8384}},
+    {NonGen, {0, 136, 8416, 136, 8416, 0, 0, 0, 0, 0, 0, 2032, 131616, 136, 8416, 8416}},
+    {NonGen, {0, 133, 8320, 133, 8320, 0, 0, 0, 0, 0, 0, 1975, 125024, 133, 8320, 8320}},
+    {NonGen, {0, 134, 9104, 134, 9104, 0, 0, 0, 0, 0, 0, 2046, 130096, 134, 9104, 9104}},
+    {NonGen, {0, 178, 10544, 178, 10544, 0, 0, 0, 0, 0, 0, 1973, 127280, 178, 10544, 10544}},
+};
+
+TEST_P(DeterminismTest, CountsMatchTheGoldenTable) {
+  const GoldenCycle *Golden =
+      GetParam().Choice != CollectorChoice::Generational ? WholeHeapCycles
+      : GetParam().Aging                                 ? AgingCycles
+                                                         : SimplePromotionCycles;
+  GcRunStats Stats = runWorkload(GetParam().Choice, GetParam().Aging);
+  ASSERT_EQ(Stats.Cycles.size(), 6u);
+  for (size_t I = 0; I < Stats.Cycles.size(); ++I) {
+    const CycleStats &Got = Stats.Cycles[I];
+    SCOPED_TRACE("cycle " + std::to_string(I));
+    EXPECT_EQ(Got.Kind, Golden[I].Kind);
+    for (size_t F = 0; F < std::size(GoldenFields); ++F)
+      EXPECT_EQ(Got.*GoldenFields[F].Field, Golden[I].Counts[F])
+          << GoldenFields[F].Name;
   }
 }
 

@@ -103,8 +103,8 @@ TEST(DlgCollector, GarbageWithCyclesIsReclaimed) {
   EXPECT_EQ(RT.heap().loadColor(B), Color::Blue);
 }
 
-TEST(DlgCollectorDeathTest, RejectsGenerationalTrigger) {
-  // Constructing the baseline with a generational trigger is a usage error.
+TEST(DlgCollectorDeathTest, RejectsAging) {
+  // Constructing the baseline with aging is a usage error.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   RuntimeConfig Config = baseConfig();
   EXPECT_DEATH(
@@ -114,10 +114,10 @@ TEST(DlgCollectorDeathTest, RejectsGenerationalTrigger) {
         MutatorRegistry Registry(S);
         GlobalRoots Roots(H, S);
         CollectorConfig GcConfig = Config.Collector;
-        GcConfig.Trigger.Generational = true;
-        DlgCollector C(H, S, Registry, Roots, GcConfig);
+        GcConfig.Aging = true;
+        Collector C(H, S, Registry, Roots, GcConfig);
       },
-      "young-generation trigger");
+      "no aging mechanism");
 }
 
 } // namespace

@@ -45,10 +45,8 @@ TEST(RuntimeFacade, TriggerGenerationalityFollowsChoice) {
     RuntimeConfig Config;
     Config.Heap.HeapBytes = 4 << 20;
     Config.Choice = Choice;
-    // Deliberately wrong on purpose: the Runtime must fix it up.
-    Config.Collector.Trigger.Generational = !Expected;
     Runtime RT(Config);
-    EXPECT_EQ(RT.collector().trigger().policy().Generational, Expected);
+    EXPECT_EQ(RT.collector().trigger().generational(), Expected);
   }
 }
 
@@ -56,7 +54,7 @@ TEST(RuntimeFacade, AgingAndRemsetsStrippedFromNonGenerational) {
   RuntimeConfig Config;
   Config.Heap.HeapBytes = 4 << 20;
   Config.Choice = CollectorChoice::NonGenerational;
-  Config.Collector.Aging = true; // would assert inside DlgCollector
+  Config.Collector.Aging = true; // would assert inside Collector
   Config.Collector.RememberedSets = true;
   Runtime RT(Config); // must not die
   EXPECT_FALSE(RT.state().UseRememberedSets.load());

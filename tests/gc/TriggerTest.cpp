@@ -28,7 +28,6 @@ struct TriggerTest : ::testing::Test {
   TriggerPolicy genPolicy() {
     TriggerPolicy P;
     P.YoungBytes = 4 * MB;
-    P.Generational = true;
     return P;
   }
 
@@ -36,21 +35,19 @@ struct TriggerTest : ::testing::Test {
 };
 
 TEST_F(TriggerTest, QuietHeapTriggersNothing) {
-  Trigger T(genPolicy(), H.heapBytes());
+  Trigger T(genPolicy(), /*Generational=*/true, H.heapBytes());
   EXPECT_EQ(T.evaluate(H), CycleRequest::None);
 }
 
 TEST_F(TriggerTest, YoungAllocationTriggersPartial) {
-  Trigger T(genPolicy(), H.heapBytes());
+  Trigger T(genPolicy(), /*Generational=*/true, H.heapBytes());
   T.afterCycle(0); // establish a grown soft limit
   consume(5 * MB); // > YoungBytes allocated since last GC
   EXPECT_EQ(T.evaluate(H), CycleRequest::Partial);
 }
 
 TEST_F(TriggerTest, NonGenerationalNeverRequestsPartial) {
-  TriggerPolicy P = genPolicy();
-  P.Generational = false;
-  Trigger T(P, H.heapBytes());
+  Trigger T(genPolicy(), /*Generational=*/false, H.heapBytes());
   T.afterCycle(0);
   consume(5 * MB);
   EXPECT_EQ(T.evaluate(H), CycleRequest::None)
@@ -58,20 +55,20 @@ TEST_F(TriggerTest, NonGenerationalNeverRequestsPartial) {
 }
 
 TEST_F(TriggerTest, OccupancyTriggersFull) {
-  Trigger T(genPolicy(), H.heapBytes());
+  Trigger T(genPolicy(), /*Generational=*/true, H.heapBytes());
   // Soft limit starts at 1 MB; filling well past it must demand a full.
   consume(2 * MB);
   EXPECT_EQ(T.evaluate(H), CycleRequest::Full);
 }
 
 TEST_F(TriggerTest, FullTakesPriorityOverPartial) {
-  Trigger T(genPolicy(), H.heapBytes());
+  Trigger T(genPolicy(), /*Generational=*/true, H.heapBytes());
   consume(30 * MB); // exceeds any line
   EXPECT_EQ(T.evaluate(H), CycleRequest::Full);
 }
 
 TEST_F(TriggerTest, SoftLimitGrowsWithLiveEstimate) {
-  Trigger T(genPolicy(), H.heapBytes());
+  Trigger T(genPolicy(), /*Generational=*/true, H.heapBytes());
   uint64_t Initial = T.softLimitBytes();
   T.afterCycle(10 * MB);
   EXPECT_GT(T.softLimitBytes(), Initial);
@@ -80,13 +77,13 @@ TEST_F(TriggerTest, SoftLimitGrowsWithLiveEstimate) {
 }
 
 TEST_F(TriggerTest, SoftLimitNeverExceedsHeap) {
-  Trigger T(genPolicy(), H.heapBytes());
+  Trigger T(genPolicy(), /*Generational=*/true, H.heapBytes());
   T.afterCycle(100 * MB);
   EXPECT_LE(T.softLimitBytes(), H.heapBytes());
 }
 
 TEST_F(TriggerTest, SoftLimitIsMonotone) {
-  Trigger T(genPolicy(), H.heapBytes());
+  Trigger T(genPolicy(), /*Generational=*/true, H.heapBytes());
   T.afterCycle(10 * MB);
   uint64_t High = T.softLimitBytes();
   T.afterCycle(1 * MB); // shrinking live set does not shrink the heap
@@ -94,10 +91,8 @@ TEST_F(TriggerTest, SoftLimitIsMonotone) {
 }
 
 TEST_F(TriggerTest, IdenticalCalculationForBothCollectors) {
-  TriggerPolicy Gen = genPolicy();
-  TriggerPolicy Base = genPolicy();
-  Base.Generational = false;
-  Trigger TG(Gen, H.heapBytes()), TB(Base, H.heapBytes());
+  Trigger TG(genPolicy(), /*Generational=*/true, H.heapBytes());
+  Trigger TB(genPolicy(), /*Generational=*/false, H.heapBytes());
   for (uint64_t Live : {uint64_t(0), 2 * MB, 8 * MB, 20 * MB}) {
     TG.afterCycle(Live);
     TB.afterCycle(Live);

@@ -119,9 +119,11 @@ void mutatorLoop(Runtime &RT, std::atomic<bool> &Done,
 }
 
 /// Runs the whole workload — two builder mutators, three Partial + three
-/// Full synchronous collections — and returns the summed checksum.  The
+/// Full synchronous collections — and returns the summed checksum, and
+/// through \p CycleAborts (when set) the number of aborted cycles.  The
 /// caller arms (or does not arm) the fault table first.
-uint64_t runCampaignWorkload(const RuntimeConfig &Config) {
+uint64_t runCampaignWorkload(const RuntimeConfig &Config,
+                             uint64_t *CycleAborts = nullptr) {
   Runtime RT(Config);
   std::atomic<bool> Done{false};
   std::atomic<unsigned> Ready{0};
@@ -151,6 +153,8 @@ uint64_t runCampaignWorkload(const RuntimeConfig &Config) {
   T2.join();
   EXPECT_FALSE(RT.collector().statsSnapshot().Cycles.back().Degraded)
       << "the campaign must end recovered, not degraded";
+  if (CycleAborts)
+    *CycleAborts = RT.metrics().CycleAborts;
   return Checksum.load();
 }
 
@@ -234,21 +238,36 @@ TEST_F(ChaosTest, SeededCampaignKeepsChecksums) {
 
 TEST_F(ChaosTest, AlternateConfigurationsSurviveOneSeed) {
   // One campaign seed against the aging and lazy-sweep variants, so the
-  // abort unwind's age bumping and residue handling see chaos too.
-  for (int Variant = 0; Variant < 2; ++Variant) {
+  // abort unwind's age bumping and residue handling see chaos too, and
+  // against the DLG baseline (the base abortRecolor) and the STW
+  // comparator, whose stopped-world cycles must never abort.
+  for (int Variant = 0; Variant < 4; ++Variant) {
     RuntimeConfig Config = chaosConfig();
-    if (Variant == 0) {
+    switch (Variant) {
+    case 0:
       Config.Collector.Aging = true;
       Config.Collector.OldestAge = 2;
-    } else {
+      break;
+    case 1:
       Config.Collector.Sweep = SweepPolicy::Lazy;
+      break;
+    case 2:
+      Config.Choice = CollectorChoice::NonGenerational;
+      break;
+    case 3:
+      Config.Choice = CollectorChoice::StopTheWorld;
+      break;
     }
     SCOPED_TRACE(::testing::Message() << "variant " << Variant);
     FaultInjector::disarmAll();
     uint64_t FaultFree = runCampaignWorkload(Config);
     armFaultTable(0xa61e + Variant);
-    uint64_t Got = runCampaignWorkload(Config);
+    uint64_t Aborts = 0;
+    uint64_t Got = runCampaignWorkload(Config, &Aborts);
     ASSERT_EQ(Got, FaultFree);
+    if (Config.Choice == CollectorChoice::StopTheWorld) {
+      EXPECT_EQ(Aborts, 0u) << "a stopped-world cycle has no unwind";
+    }
   }
 }
 
