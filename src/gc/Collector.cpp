@@ -316,7 +316,7 @@ void Collector::abortRecolor() {
   // looks either already-traced (sons never scanned) or dead to that
   // cycle.
   Color Alloc = State.allocationColor();
-  forEachHeapCell([&](ObjectRef Ref) {
+  H.forEachObjectCell([&](ObjectRef Ref) {
     Color C = H.loadColor(Ref, std::memory_order_relaxed);
     if (C != Color::Blue && C != Alloc)
       H.storeColor(Ref, Alloc);
@@ -332,29 +332,20 @@ void Collector::abortCycle(CycleStats &Cycle) {
 
   // 2. Finish the handshake protocol back to Async so the mutator-facing
   //    state machine is whole again.  The wedged mutator that caused an
-  //    escalated abort is usually still wedged, so this wait is bounded by
-  //    the same deadline and ends in force-adoption — counted here, once,
-  //    as this cycle's forced mutators.
+  //    escalated abort is usually still wedged, so under Escalate this
+  //    handshake ends in force-adoption too — counted here, once, as this
+  //    cycle's forced mutators.
   if (State.StatusC.load(std::memory_order_acquire) != HandshakeStatus::Async)
     Handshakes.post(HandshakeStatus::Async);
-  uint64_t Window =
-      std::max<uint64_t>(Config.Watchdog.DeadlineNanos, 1'000'000);
-  uint64_t Begin = nowNanos();
-  while (Registry.countLaggingAndHelp(HandshakeStatus::Async) != 0) {
-    if (nowNanos() - Begin >= Window) {
-      Cycle.ForcedMutators +=
-          Handshakes.forceCompleteLaggards(HandshakeStatus::Async);
-      break;
-    }
-    std::this_thread::yield();
-  }
+  Handshakes.wait();
+  Cycle.ForcedMutators += Handshakes.lastForced();
 
   // 3. Let in-flight shade publications drain, then discard the gray work.
   //    Every mutator is back at Async with Idle published, so no new
   //    shades start; a bounded wait covers the CAS-won-push-pending window
   //    (a force-adopted thread wedged inside it is the documented
   //    quiet-thread assumption — see DESIGN.md §19).
-  Begin = nowNanos();
+  uint64_t Begin = nowNanos();
   while (State.InFlightShades.load(std::memory_order_acquire) != 0 &&
          nowNanos() - Begin < 10'000'000)
     std::this_thread::yield();
@@ -385,66 +376,6 @@ void Collector::abortCycle(CycleStats &Cycle) {
   runVerifier(VerifyScope::Concurrent);
 }
 
-void Collector::stopWorld(std::vector<uint64_t> &Forced) {
-  // The epoch bump follows the caller's writes (the color toggle, on the
-  // second stop of a pause), so a parker that observes the new epoch also
-  // sees them when it re-shades its roots.
-  uint64_t Epoch =
-      State.StopEpoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-  State.StopWorld.store(true, std::memory_order_seq_cst);
-
-  // A mutator counts as stopped when it parked itself AND shaded its roots
-  // for this very epoch (a thread still asleep from an earlier epoch has
-  // stale shading and must not be trusted until it re-shades), when it is
-  // blocked, or when this pause already forced it; we shade for the last
-  // two.  The registry can change while we wait: re-snapshot every pass.
-  auto Stopped = [&](Mutator &M) {
-    if (M.stwParkedFor(Epoch) || M.markRootsIfBlockedForStw())
-      return true;
-    if (std::find(Forced.begin(), Forced.end(), M.id()) == Forced.end())
-      return false;
-    M.forceShadeForStw();
-    return true;
-  };
-  // Only Escalate bounds the wait: a thread that blew through every
-  // handshake grace period is force-shaded and counted stopped.
-  bool Bounded = Config.Watchdog.Policy == WatchdogPolicy::Escalate;
-  uint64_t Deadline = Config.Watchdog.DeadlineNanos != 0
-                          ? Config.Watchdog.DeadlineNanos
-                          : 50'000'000;
-  Deadline *= std::max(1u, Config.Watchdog.EscalateAfterFires);
-  uint64_t Begin = nowNanos();
-  for (unsigned Spin = 0;; ++Spin) {
-    size_t Lagging = 0;
-    Registry.forEach([&](Mutator &M) {
-      if (!Stopped(M))
-        ++Lagging;
-    });
-    if (Lagging == 0)
-      return;
-    uint64_t Waited = nowNanos() - Begin;
-    if (Bounded && Waited >= Deadline) {
-      size_t Before = Forced.size();
-      Registry.forEach([&](Mutator &M) {
-        if (!Stopped(M)) {
-          M.forceShadeForStw();
-          Forced.push_back(M.id());
-        }
-      });
-      Handshakes.fireStall("stop-the-world", Waited);
-      if (EventRing *Ring = Obs.laneRing(0))
-        Ring->instant(ObsEventKind::EscalationStep, nowNanos(),
-                      uint64_t(EscalationAction::ForceAdopt),
-                      Forced.size() - Before);
-      return;
-    }
-    if (Spin < 64)
-      std::this_thread::yield();
-    else
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-  }
-}
-
 CycleStats Collector::runCycle(CycleRequest Kind) {
   bool StopWorld = StopsTheWorld || InDegradedMode;
   bool Full = !generationalPlan() || StopWorld || Kind == CycleRequest::Full;
@@ -466,13 +397,13 @@ CycleStats Collector::runCycle(CycleRequest Kind) {
     Phases.push_back({GcPhase::Clear, &CycleStats::ClearNanos,
                       [this](CycleStats &C) {
                         // Stopping before the toggle keeps untraced
-                        // objects out of the traced color; the second
-                        // stop re-shades every root under the new colors.
+                        // objects out of the traced color; then every
+                        // stopped thread's roots shade under the new ones.
                         std::vector<uint64_t> Forced;
-                        stopWorld(Forced);
+                        Handshakes.stopWorld(Forced, /*ShadeRoots=*/false);
                         initFullCollection(C);
                         State.switchAllocationClearColors();
-                        stopWorld(Forced);
+                        Handshakes.stopWorld(Forced, /*ShadeRoots=*/true);
                         C.ForcedMutators += Forced.size();
                       }});
     Phases.push_back({GcPhase::Mark, &CycleStats::MarkNanos,
@@ -524,7 +455,7 @@ CycleStats Collector::runCycle(CycleRequest Kind) {
                  [this] { return abortPending(); });
   // runCyclePhases already published Idle; resume the world after it.
   if (StopWorld)
-    State.StopWorld.store(false, std::memory_order_seq_cst);
+    Handshakes.resumeWorld();
   return Cycle;
 }
 

@@ -263,35 +263,6 @@ protected:
   /// it.  The baseline runs no partial cycles.
   virtual void clearCards(CycleStats &) {}
 
-  /// Bumps the stop epoch, raises StopWorld and waits until every mutator
-  /// has parked and shaded its roots for the new epoch, or is blocked
-  /// (its roots shaded here).  Under WatchdogPolicy::Escalate the wait is
-  /// bounded by roughly DeadlineNanos x EscalateAfterFires: a thread that
-  /// has not parked by then gets its roots shaded on its behalf
-  /// (Mutator::forceShadeForStw) and its id appended to \p Forced.  A
-  /// thread already in \p Forced is shaded at once, with no new deadline.
-  /// An empty \p Forced after the pause means every thread parked on its
-  /// own, the signal that on-the-fly collection can resume.
-  void stopWorld(std::vector<uint64_t> &Forced);
-
-  /// Visits every size-class cell and large-object start in the heap (a
-  /// single-threaded block-table walk; only the abort unwind's recolor
-  /// passes use it — not a hot path).
-  template <typename Fn> void forEachHeapCell(Fn Visit) {
-    for (size_t BlockIdx = 0; BlockIdx < H.numBlocks(); ++BlockIdx) {
-      const BlockDescriptor &Desc = H.block(BlockIdx);
-      uint64_t Base = uint64_t(BlockIdx) << Heap::BlockShift;
-      if (Desc.State == BlockState::LargeStart) {
-        Visit(ObjectRef(Base));
-        continue;
-      }
-      if (Desc.State != BlockState::SizeClass)
-        continue;
-      for (uint32_t Cell = 0; Cell < Desc.NumCells; ++Cell)
-        Visit(ObjectRef(Base + uint64_t(Cell) * Desc.CellBytes));
-    }
-  }
-
   /// Computed per cycle: only an on-the-fly cycle can abort.  A stopped-
   /// world cycle (the STW comparator, the degraded fallback) has no
   /// handshake waits and no unwind.
@@ -402,10 +373,10 @@ private:
   /// and Mark phases run through handshakes (Figures 2 and 5), or with the
   /// world stopped for the STW comparator and the degraded fallback
   /// (DESIGN.md §19): stop the world, initFullCollection, toggle the
-  /// colors, then stop it again under a new epoch so every stopped thread
-  /// re-shades its roots under the toggled colors.  Stopping before the
-  /// toggle means nothing a still-running thread allocates can carry the
-  /// color the trace treats as done.  Plan.Mode decides the rest: a
+  /// colors, then shade every stopped thread's roots under the toggled
+  /// colors (HandshakeDriver::stopWorld).  Stopping before the toggle
+  /// means nothing a still-running thread allocates can carry the color
+  /// the trace treats as done.  Plan.Mode decides the rest: a
   /// non-generational cycle is whole-heap, a generational one Partial
   /// unless \p Kind or a stopped world makes it Full.  The residue, trace
   /// and sweep phases are shared.

@@ -177,7 +177,7 @@ void GenerationalCollector::abortRecolor() {
   Color Alloc = State.allocationColor();
   bool Aging = Config.Aging;
   uint8_t OldestAge = Config.OldestAge;
-  forEachHeapCell([&](ObjectRef Ref) {
+  H.forEachObjectCell([&](ObjectRef Ref) {
     Color C = H.loadColor(Ref, std::memory_order_relaxed);
     if (C == Color::Blue || C == Color::Black || C == Alloc)
       return;

@@ -56,21 +56,6 @@ void HeapVerifier::addViolation(Report &R, std::string Message) const {
     ++R.Suppressed;
 }
 
-template <typename Fn> void HeapVerifier::forEachCell(Fn Callback) const {
-  size_t NumBlocks = H.numBlocks();
-  for (size_t I = 0; I < NumBlocks; ++I) {
-    const BlockDescriptor &Desc = H.block(I);
-    BlockState S = Desc.State.load(std::memory_order_acquire);
-    if (S == BlockState::SizeClass) {
-      uint64_t Base = uint64_t(I) << Heap::BlockShift;
-      for (uint32_t Cell = 0; Cell < Desc.NumCells; ++Cell)
-        Callback(ObjectRef(Base + uint64_t(Cell) * Desc.CellBytes));
-    } else if (S == BlockState::LargeStart) {
-      Callback(ObjectRef(uint64_t(I) << Heap::BlockShift));
-    }
-  }
-}
-
 void HeapVerifier::verifyBlockTable(Report &R) const {
   H.withBlocksLocked([&] {
     size_t NumBlocks = H.numBlocks();
@@ -281,7 +266,7 @@ void HeapVerifier::verifyDeferredSweep(Report &R) const {
 void HeapVerifier::verifyColors(Report &R, VerifyScope Scope) const {
   Color Clear = State.clearColor();
   bool NoClear = Scope == VerifyScope::CycleEnd;
-  forEachCell([&](ObjectRef Ref) {
+  H.forEachObjectCell([&](ObjectRef Ref) {
     ++R.ChecksRun;
     uint8_t Raw = uint8_t(H.loadColor(Ref, std::memory_order_relaxed));
     if (Raw > uint8_t(Color::Black)) {
@@ -320,7 +305,7 @@ void HeapVerifier::verifyCardSummaries(Report &R) const {
 void HeapVerifier::verifyNoClearRefsFromTraced(Report &R,
                                                Color TracedBlack) const {
   Color Clear = State.clearColor();
-  forEachCell([&](ObjectRef Ref) {
+  H.forEachObjectCell([&](ObjectRef Ref) {
     if (H.loadColor(Ref) != TracedBlack)
       return;
     uint32_t Slots = objectRefSlots(H, Ref);

@@ -107,12 +107,6 @@ private:
   /// leaves Swept.
   void verifyDeferredSweep(Report &R) const;
 
-  /// Invokes \p Callback(Ref) for the start of every object cell currently
-  /// part of an object-holding block (SizeClass cells and LargeStart run
-  /// bases), reading block states racily but safely (the descriptor
-  /// fields-before-State publication protocol).
-  template <typename Fn> void forEachCell(Fn Callback) const;
-
   const Heap &H;
   const CollectorState &State;
 };

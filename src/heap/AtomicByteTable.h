@@ -210,9 +210,6 @@ public:
   /// Base address of the entry array (for page-touch accounting).
   const void *data() const { return Entries.get(); }
 
-  /// log2 of the number of covered bytes per entry.
-  unsigned granuleShift() const { return Shift; }
-
 private:
   unsigned Shift;
   size_t NumEntries;

@@ -121,11 +121,6 @@ struct BlockDescriptor {
   /// 0 terminates).  Written by the publisher before the block is pushed,
   /// stable until the pop that claims it.
   std::atomic<uint32_t> NextNeedsSweep{0};
-
-  /// True if this block contains allocatable objects.
-  bool holdsObjects() const {
-    return State == BlockState::SizeClass || State == BlockState::LargeStart;
-  }
 };
 
 /// Returns a printable name of \p State for diagnostics.

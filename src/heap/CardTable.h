@@ -243,9 +243,6 @@ public:
   /// Base address of the backing byte array, for page-touch registration.
   const void *data() const { return Table.data(); }
 
-  /// Base address of the summary byte array.
-  const void *summaryData() const { return Summary.data(); }
-
 private:
   unsigned Shift;
   AtomicByteTable Table;

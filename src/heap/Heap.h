@@ -68,8 +68,8 @@ struct HeapConfig {
   /// 0 to size from the hardware concurrency (rounded up to a power of
   /// two, capped at 64).  Mutators hash to a home shard and steal from
   /// neighbors when it runs dry, so thread-cache refills of independent
-  /// threads stop funneling through one mutex.  1 shard reproduces the
-  /// historical single-central-list behavior bit-identically.
+  /// threads stop funneling through one mutex.  1 shard behaves as a
+  /// single central list.
   uint32_t AllocShards = 0;
 
   /// Upper bound on the chains a thread-cache refill may transfer under
@@ -81,8 +81,8 @@ struct HeapConfig {
 /// Interface through which the heap's refill path reaches the gc layer's
 /// per-block sweep engine under SweepPolicy::Lazy.  The heap layer cannot
 /// depend on src/gc, so the collector installs an implementation
-/// (gc/LazySweep.h) via Heap::setLazySweeper; a null hook (the default, and
-/// the eager policy) leaves every allocation path byte-identical.
+/// (gc/LazySweep.h) via Heap::setLazySweeper; under a null hook (the
+/// default, and the eager policy) no allocation path sweeps.
 class LazySweeper {
 public:
   virtual ~LazySweeper() = default;
@@ -438,6 +438,24 @@ public:
              Blocks[I].State != BlockState::Reserved)
         ++I;
       Callback(uint64_t(Begin) << BlockShift, uint64_t(I) << BlockShift);
+    }
+  }
+
+  /// Invokes \p Callback(Ref) for every cell of every SizeClass block and
+  /// every LargeStart run base — a single-threaded block-table walk (the
+  /// verifier's and the abort unwind's recolor; not a hot path).  Block
+  /// states are read with acquire, which the descriptor publication
+  /// protocol pairs with (fields before State).
+  template <typename Fn> void forEachObjectCell(Fn Callback) const {
+    for (size_t I = 0; I < Blocks.size(); ++I) {
+      const BlockDescriptor &Desc = Blocks[I];
+      BlockState S = Desc.State.load(std::memory_order_acquire);
+      uint64_t Base = uint64_t(I) << BlockShift;
+      if (S == BlockState::LargeStart)
+        Callback(ObjectRef(Base));
+      else if (S == BlockState::SizeClass)
+        for (uint32_t Cell = 0; Cell < Desc.NumCells; ++Cell)
+          Callback(ObjectRef(Base + uint64_t(Cell) * Desc.CellBytes));
     }
   }
 

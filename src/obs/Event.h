@@ -195,9 +195,9 @@ struct ObsEvent {
 /// are gated by Tracing because they cost memory (Capacity * 64 bytes per
 /// actor) and a timestamp per event.
 struct ObsConfig {
-  /// Record events into per-actor rings.  Off by default: the default
-  /// runtime stays bit-identical to the untraced collector (the
-  /// DeterminismTest contract).
+  /// Record events into per-actor rings.  Off by default; on or off, a
+  /// collector reports the same collection counts (the DeterminismTest
+  /// contract).
   bool Tracing = false;
 
   /// Events per ring; rounded up to a power of two, minimum 64.  At the

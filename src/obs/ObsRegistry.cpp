@@ -9,7 +9,7 @@
 using namespace gengc;
 
 ObsRegistry::ObsRegistry(const ObsConfig &Config, unsigned GcLanes)
-    : Config(Config), NumLanes(GcLanes) {
+    : Config(Config) {
   if (!Config.Tracing)
     return;
   LaneRings.reserve(GcLanes);

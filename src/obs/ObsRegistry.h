@@ -48,7 +48,6 @@ public:
 
   const ObsConfig &config() const { return Config; }
   bool tracing() const { return Config.Tracing; }
-  unsigned gcLanes() const { return NumLanes; }
 
   /// The ring of GC worker lane \p Lane (lane 0 doubles as the collector
   /// thread's cycle/phase/handshake ring).  Null with tracing off.
@@ -90,7 +89,6 @@ public:
 
 private:
   ObsConfig Config;
-  unsigned NumLanes;
 
   mutable std::mutex Mutex;
   std::vector<std::unique_ptr<EventRing>> LaneRings;

@@ -101,19 +101,16 @@ struct CollectorState {
   std::atomic<int64_t> InFlightShades{0};
 
   /// Stop-the-world support (the STW comparator and the degraded fallback,
-  /// not used by the paper's on-the-fly cycles): when set, every
-  /// mutator parks at its next cooperate() after shading its own roots,
-  /// and stays parked until cleared.
+  /// not used by the paper's on-the-fly cycles): when set, every mutator
+  /// parks at its next cooperate() and stays parked until cleared; the
+  /// collector shades the stopped threads' roots (HandshakeDriver).
   std::atomic<bool> StopWorld{false};
 
-  /// Distinguishes consecutive stop-the-world waits: bumped when StopWorld
-  /// is raised and again after the color toggle of the same pause.  A
-  /// mutator asleep in its park loop re-shades its roots — under the
-  /// current colors — whenever it observes a new epoch, and the collector
-  /// counts it stopped only once the mutator has published the current
-  /// epoch.  Without this, a pause would trust shading done before its
-  /// toggle, or back-to-back cycles would treat stale parkers as stopped
-  /// and sweep their never-reshaded roots.
+  /// Distinguishes consecutive stop-the-world pauses: bumped once per
+  /// pause, just before StopWorld is raised.  A parked mutator publishes
+  /// the epoch it is parked for, and the collector counts it stopped only
+  /// for the current one, so a thread still leaving the previous pause
+  /// (and about to mutate) is never trusted as stopped.
   std::atomic<uint64_t> StopEpoch{0};
 
   /// Allocation budget (bytes since the last collection) past which

@@ -27,8 +27,10 @@ void HandshakeDriver::post(HandshakeStatus Status) {
     Obs->instant(ObsEventKind::HandshakeReq, Now, uint64_t(Status));
 }
 
-bool HandshakeDriver::wait() {
-  HandshakeStatus Status = State.StatusC.load(std::memory_order_relaxed);
+template <typename LaggingFn, typename ForceFn>
+bool HandshakeDriver::waitFor(const char *What, LaggingFn Lagging,
+                              ForceFn Force) {
+  LastForced = 0;
   uint64_t Deadline = Watchdog ? Watchdog->DeadlineNanos : 0;
   uint64_t Begin = Deadline ? nowNanos() : 0;
   uint64_t Fires = 0;
@@ -44,27 +46,29 @@ bool HandshakeDriver::wait() {
   }
   Backoff Refire(Deadline ? Deadline : 1, Cap ? Cap : 1);
   uint64_t NextFire = Deadline ? Refire.advance() : 0;
-  // Mutators respond at their own pace; poll, helping blocked threads.
-  // The paper's collector behaves the same way ("the collector considers a
-  // handshake complete after all mutators have responded").
+  // Mutators respond at their own pace; poll.  The paper's collector
+  // behaves the same way ("the collector considers a handshake complete
+  // after all mutators have responded").
   for (unsigned Spin = 0;; ++Spin) {
-    if (Registry.countLaggingAndHelp(Status) == 0)
+    if (Lagging() == 0)
       return true;
     if (Deadline) {
       uint64_t Waited = nowNanos() - Begin;
       if (Waited >= NextFire) {
         ++Fires;
-        fireStall("handshake", Waited, Fires);
+        fireStall(What, Waited, Fires);
         if (Fires > 1 && Obs)
           Obs->instant(ObsEventKind::EscalationStep, nowNanos(),
                        uint64_t(EscalationAction::Refire), Fires);
         if (Watchdog->Policy == WatchdogPolicy::Escalate &&
             Fires >= std::max(1u, Watchdog->EscalateAfterFires)) {
-          // End of the report-only rungs: complete the laggards' handshakes
-          // on their behalf and hand the (now untrustworthy) cycle back to
-          // the collector for abort.
+          // End of the report-only rungs: act for the laggards and hand the
+          // (now untrustworthy) cycle back to the collector.
           LastEscalation = Fires;
-          forceCompleteLaggards(Status);
+          LastForced = Force();
+          if (Obs)
+            Obs->instant(ObsEventKind::EscalationStep, nowNanos(),
+                         uint64_t(EscalationAction::ForceAdopt), LastForced);
           return false;
         }
         NextFire = Waited + Refire.advance();
@@ -77,18 +81,84 @@ bool HandshakeDriver::wait() {
   }
 }
 
-uint64_t HandshakeDriver::forceCompleteLaggards(HandshakeStatus Status) {
-  uint64_t Forced = 0;
-  Registry.forEach([&](Mutator &M) {
-    if (M.status() != Status) {
-      M.forceAdopt();
-      ++Forced;
-    }
-  });
-  if (Obs)
-    Obs->instant(ObsEventKind::EscalationStep, nowNanos(),
-                 uint64_t(EscalationAction::ForceAdopt), Forced);
-  return Forced;
+bool HandshakeDriver::wait() {
+  HandshakeStatus Status = State.StatusC.load(std::memory_order_relaxed);
+  return waitFor(
+      "handshake",
+      [&] {
+        size_t Lagging = 0;
+        Registry.forEach([&](Mutator &M) {
+          if (M.status() == Status)
+            return;
+          M.helpIfBlocked();
+          if (M.status() != Status)
+            ++Lagging;
+        });
+        return Lagging;
+      },
+      [&] {
+        uint64_t Forced = 0;
+        Registry.forEach([&](Mutator &M) {
+          if (M.status() != Status) {
+            M.forceAdopt();
+            ++Forced;
+          }
+        });
+        return Forced;
+      });
+}
+
+void HandshakeDriver::stopWorld(std::vector<uint64_t> &Forced,
+                                bool ShadeRoots) {
+  // One stop epoch per pause.  Stopped threads cannot leave the park (or
+  // the blocked state) without parking again while StopWorld stays raised,
+  // so a later call of the same pause only waits for threads that attached
+  // since.
+  if (!State.StopWorld.load(std::memory_order_relaxed)) {
+    State.StopEpoch.fetch_add(1, std::memory_order_acq_rel);
+    State.StopWorld.store(true, std::memory_order_seq_cst);
+  }
+  uint64_t Epoch = State.StopEpoch.load(std::memory_order_relaxed);
+  // A thread still asleep from the previous pause has not published this
+  // epoch and is not trusted until it does.  The registry can change while
+  // we wait: re-snapshot every pass.
+  auto Stopped = [&](Mutator &M) {
+    return std::find(Forced.begin(), Forced.end(), M.id()) != Forced.end() ||
+           M.stoppedFor(Epoch);
+  };
+  std::vector<uint64_t> Shaded;
+  auto Shade = [&](Mutator &M) {
+    if (!ShadeRoots ||
+        std::find(Shaded.begin(), Shaded.end(), M.id()) != Shaded.end())
+      return;
+    M.shadeRootsForStw();
+    Shaded.push_back(M.id());
+  };
+  waitFor(
+      "stop-the-world",
+      [&] {
+        size_t Lagging = 0;
+        Registry.forEach([&](Mutator &M) {
+          if (Stopped(M))
+            Shade(M);
+          else
+            ++Lagging;
+        });
+        return Lagging;
+      },
+      [&] {
+        size_t Before = Forced.size();
+        Registry.forEach([&](Mutator &M) {
+          if (!Stopped(M))
+            Forced.push_back(M.id());
+          Shade(M);
+        });
+        return uint64_t(Forced.size() - Before);
+      });
+}
+
+void HandshakeDriver::resumeWorld() {
+  State.StopWorld.store(false, std::memory_order_seq_cst);
 }
 
 void HandshakeDriver::fireStall(const char *What, uint64_t WaitedNanos,

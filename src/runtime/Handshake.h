@@ -13,10 +13,18 @@
 /// (Section 7: "we separate the handshake into two parts, postHandshake and
 /// waitHandshake, instead of using a second collector thread").
 ///
+/// HandshakeDriver is the only code that waits for mutators.  The
+/// stop-the-world pause (the STW comparator and the degraded fallback,
+/// DESIGN.md §19) and the abort unwind's return to Async wait through the
+/// same loop, so every wait shares one poll cadence, one watchdog re-fire
+/// schedule and one escalation rule.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GENGC_RUNTIME_HANDSHAKE_H
 #define GENGC_RUNTIME_HANDSHAKE_H
+
+#include <vector>
 
 #include "obs/EventRing.h"
 #include "runtime/CollectorState.h"
@@ -42,17 +50,12 @@ public:
   /// Publishes \p Status as the collector status (postHandshake).
   void post(HandshakeStatus Status);
 
-  /// Spins until every mutator matches the posted status (waitHandshake).
-  /// If a watchdog is installed with a nonzero DeadlineNanos and some
-  /// mutator is still lagging past it, fires the stall policy — and keeps
-  /// re-firing on a capped-exponential schedule while the wait stays
-  /// stalled.  Returns true when every mutator adopted the status.  Under
-  /// WatchdogPolicy::Escalate only, a wait that reaches EscalateAfterFires
-  /// fires instead force-completes the laggards (their responses are
-  /// adopted on their behalf, WITHOUT the root shades a real response
-  /// performs) and returns false: the caller must abort the cycle, whose
-  /// trace can no longer be trusted.  All other policies never return
-  /// false.
+  /// Waits until every mutator matches the posted status (waitHandshake),
+  /// responding for blocked ones.  Returns false only under
+  /// WatchdogPolicy::Escalate, once the wait reached EscalateAfterFires
+  /// fires and force-adopted the laggards' responses (Mutator::forceAdopt:
+  /// WITHOUT the root shades a real response performs): the caller must
+  /// abort the cycle, whose trace can no longer be trusted.
   bool wait();
 
   /// post + wait.
@@ -61,32 +64,50 @@ public:
     return wait();
   }
 
+  /// Stops the world and waits until every mutator is stopped: parked for
+  /// this pause's stop epoch, blocked, or listed in \p Forced.  The first
+  /// call of a pause bumps the epoch and raises StopWorld; a later call
+  /// (world still stopped) waits only for threads that attached since.
+  /// With \p ShadeRoots, shades every stopped thread's roots once
+  /// (Mutator::shadeRootsForStw).  Under WatchdogPolicy::Escalate, the
+  /// EscalateAfterFires-th fire appends the still-running threads' ids to
+  /// \p Forced (the quiet-thread assumption, DESIGN.md §19); an empty
+  /// \p Forced after the pause means every thread stopped on its own.
+  void stopWorld(std::vector<uint64_t> &Forced, bool ShadeRoots);
+
+  /// Ends the pause: lowers StopWorld, and every parked mutator resumes.
+  void resumeWorld();
+
   /// Assembles a StallReport (snapshotting every registered mutator) and
   /// applies the watchdog policy.  Public so the collector can report
-  /// whole-cycle deadline overruns and stop-the-world timeouts through the
-  /// same machinery; no-op when no watchdog is installed.  \p Escalation is
-  /// the 1-based fire index within the stalled wait.
+  /// whole-cycle deadline overruns through the same machinery; no-op when
+  /// no watchdog is installed.  \p Escalation is the 1-based fire index
+  /// within the stalled wait.
   void fireStall(const char *What, uint64_t WaitedNanos,
                  uint64_t Escalation = 1);
 
-  /// Adopts the posted status on behalf of every mutator still lagging
-  /// behind \p Status (Mutator::forceAdopt: no root shading, no
-  /// last-response update) and returns how many were forced.  Only sound
-  /// when the in-flight cycle is about to be aborted — public because
-  /// Collector::abortCycle uses it to finish the unwind's return-to-Async
-  /// handshake.
-  uint64_t forceCompleteLaggards(HandshakeStatus Status);
-
-  /// Fire count of the most recent wait() that returned false (telemetry
-  /// for the abort path; collector-thread only).
+  /// Fire count of the most recent wait that forced (telemetry for the
+  /// abort path; collector-thread only).
   uint64_t lastEscalation() const { return LastEscalation; }
 
+  /// Mutators the most recent wait forced; 0 if it completed on its own.
+  uint64_t lastForced() const { return LastForced; }
+
 private:
+  /// The one wait loop: polls \p Lagging() until it reports no laggard —
+  /// 64 yields, then 50 µs sleeps — firing the watchdog as \p What on its
+  /// capped-exponential schedule.  Under Escalate, the EscalateAfterFires-th
+  /// fire calls \p Force() (which returns how many it forced) and returns
+  /// false instead of waiting on.
+  template <typename LaggingFn, typename ForceFn>
+  bool waitFor(const char *What, LaggingFn Lagging, ForceFn Force);
+
   CollectorState &State;
   MutatorRegistry &Registry;
   EventRing *Obs = nullptr;
   const WatchdogConfig *Watchdog = nullptr;
   uint64_t LastEscalation = 0;
+  uint64_t LastForced = 0;
 };
 
 } // namespace gengc

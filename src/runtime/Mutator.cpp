@@ -310,14 +310,6 @@ void Mutator::markOwnRoots() {
   }
 }
 
-void Mutator::markOwnRootsForStw() {
-  // The collector toggles the colors only once every thread has stopped,
-  // so no untraced object carries the allocation color: shading the
-  // clear-colored roots is complete.
-  for (ObjectRef Root : Stack)
-    markGrayClearOnly(H, State, Root, Grays);
-}
-
 void Mutator::cooperateLocked(bool Helped) {
   HandshakeStatus SC = State.StatusC.load(std::memory_order_acquire);
   HandshakeStatus SM = StatusM.load(std::memory_order_relaxed);
@@ -365,39 +357,26 @@ void Mutator::forceAdopt() {
   // No cooperateLocked: the Sync2 root shade a real response would perform
   // is exactly what cannot be trusted from a wedged thread, and the caller
   // is about to abort the cycle anyway — adopt the status bare so the
-  // protocol's bookkeeping (countLaggingAndHelp) terminates.
+  // handshake wait terminates.
   std::scoped_lock Locked(CoopMutex);
   StatusM.store(State.StatusC.load(std::memory_order_acquire),
                 std::memory_order_release);
 }
 
-void Mutator::forceShadeForStw() {
-  std::scoped_lock Locked(CoopMutex);
-  markOwnRootsForStw();
-}
-
 void Mutator::parkForStopTheWorld() {
-  // Shade our roots, then publish the stop epoch we shaded for: the
-  // collector counts this thread stopped only once it sees the current
-  // epoch here.  The shade is redone per epoch because the colors change
-  // while this thread sleeps — the pause's own toggle comes after the
-  // first epoch, and a new pause can begin before this thread wakes from
-  // the previous one — so a stale shading must never be trusted.
+  // Publish the stop epoch we are parked for: the collector counts this
+  // thread stopped only for the current epoch, so a thread still leaving
+  // the previous pause is never trusted.  A new pause can begin before
+  // this thread wakes from the previous one; it then stays parked and
+  // publishes the new epoch.  The collector shades our roots itself.
   uint64_t Start = nowNanos();
-  uint64_t ShadedFor = 0;
   Backoff Back(/*InitialNanos=*/5 * 1000, /*CapNanos=*/100 * 1000);
   while (State.StopWorld.load(std::memory_order_acquire)) {
     uint64_t Epoch = State.StopEpoch.load(std::memory_order_acquire);
-    if (Epoch != ShadedFor) {
-      {
-        std::scoped_lock Locked(CoopMutex);
-        markOwnRootsForStw();
-      }
-      ShadedFor = Epoch;
+    if (StwParkedEpoch.load(std::memory_order_relaxed) != Epoch) {
       StwParkedEpoch.store(Epoch, std::memory_order_release);
-      // A new epoch means a new pause just began: resume short sleeps so
-      // the resume latency of this pause is not inflated by the backoff
-      // state of the previous one.
+      // A new pause just began: resume short sleeps so its resume latency
+      // is not inflated by the backoff state of the previous one.
       Back.reset();
     }
     Back.pause();
@@ -406,12 +385,17 @@ void Mutator::parkForStopTheWorld() {
   recordPause(nowNanos() - Start, /*StopTheWorld=*/true);
 }
 
-bool Mutator::markRootsIfBlockedForStw() {
+bool Mutator::stoppedFor(uint64_t Epoch) {
+  if (StwParkedEpoch.load(std::memory_order_acquire) == Epoch)
+    return true;
   std::scoped_lock Locked(CoopMutex);
-  if (!Blocked.load(std::memory_order_relaxed))
-    return false;
-  markOwnRootsForStw();
-  return true;
+  return Blocked.load(std::memory_order_relaxed);
+}
+
+void Mutator::shadeRootsForStw() {
+  std::scoped_lock Locked(CoopMutex);
+  for (ObjectRef Root : Stack)
+    markGrayClearOnly(H, State, Root, Grays);
 }
 
 void Mutator::enterBlocked() {
@@ -429,8 +413,8 @@ void Mutator::exitBlocked() {
     LastResponseNanos.store(nowNanos(), std::memory_order_relaxed);
   }
   // A stop-the-world pause may be in progress: this thread must not
-  // resume mutating until it ends (its roots were already shaded by the
-  // collector while it was blocked).
+  // resume mutating until it ends (the collector counted it stopped while
+  // it was blocked, and shades its roots).
   if (State.StopWorld.load(std::memory_order_acquire))
     parkForStopTheWorld();
 }

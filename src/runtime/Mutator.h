@@ -211,17 +211,10 @@ public:
   /// shading, and LastResponseNanos deliberately stays (the thread itself
   /// never responded).  Only sound because the caller is committed to
   /// aborting the cycle and discarding its trace; see
-  /// HandshakeDriver::forceCompleteLaggards.  Relies on the same assumption
-  /// BlockedScope makes of a quiet thread: one that has stopped calling
-  /// cooperate() is not mid-heap-operation holding CoopMutex.
+  /// HandshakeDriver::wait.  Relies on the same assumption BlockedScope
+  /// makes of a quiet thread: one that has stopped calling cooperate() is
+  /// not mid-heap-operation holding CoopMutex.
   void forceAdopt();
-
-  /// Degraded-cycle escalation: shades this thread's roots for a
-  /// stop-the-world pause on its behalf, blocked or not (the bounded
-  /// world-stop gave up waiting for it to park).  Sound under the same
-  /// quiet-thread assumption as forceAdopt — a wedged thread is outside
-  /// heap operations, so its shadow stack is stable.
-  void forceShadeForStw();
 
   /// Watchdog side: snapshots this mutator's responsiveness state for a
   /// stall report.  All reads are relaxed — the snapshot is advisory.
@@ -273,21 +266,23 @@ public:
   /// a true world-stop park rather than a voluntary stall.
   void recordPause(uint64_t Nanos, bool StopTheWorld = false);
 
-  /// Shades this mutator's roots and parks until StopWorld clears (a
-  /// stopped-world Collector::runCycle), re-shading on every new stop
-  /// epoch.  Called from cooperate(); public so tests can drive the
-  /// protocol directly.
+  /// Parks until StopWorld clears (a stopped-world Collector::runCycle),
+  /// publishing the stop epoch it is parked for.  Called from cooperate();
+  /// public so tests can drive the protocol directly.
   void parkForStopTheWorld();
 
-  /// Collector side: if this mutator is blocked, shade its roots on its
-  /// behalf for a stop-the-world cycle.  \returns true if it was blocked.
-  bool markRootsIfBlockedForStw();
+  /// Collector side: whether this mutator is stopped for the pause with
+  /// stop epoch \p Epoch — parked for it, or blocked (read under
+  /// CoopMutex, so a thread leaving the blocked state sees StopWorld and
+  /// parks).
+  bool stoppedFor(uint64_t Epoch);
 
-  /// Collector side: whether this mutator is parked for the stop-the-world
-  /// pause with the given epoch, having already shaded its roots for it.
-  bool stwParkedFor(uint64_t Epoch) const {
-    return StwParkedEpoch.load(std::memory_order_acquire) == Epoch;
-  }
+  /// Collector side, world stopped and colors toggled: shades this
+  /// stopped thread's clear-colored roots, under CoopMutex.  No untraced
+  /// object carries the allocation color, because the toggle came after
+  /// every thread stopped, so the shade is complete.  A forced thread
+  /// counts as stopped under forceAdopt's quiet-thread assumption.
+  void shadeRootsForStw();
 
 private:
   /// Responds to the pending handshake.  CoopMutex must be held.
@@ -297,10 +292,6 @@ private:
 
   /// Marks every shadow-stack entry gray (response to the 3rd handshake).
   void markOwnRoots();
-
-  /// Stop-the-world variant: shades clear-colored roots under the colors
-  /// of the current stop epoch.  CoopMutex must be held.
-  void markOwnRootsForStw();
 
   /// Stalls while a collection is in progress and the during-cycle
   /// allocation budget is exhausted (see CollectorState::ThrottleBytes).
@@ -369,8 +360,8 @@ private:
   /// transition; 0 until the first one.  Watchdog diagnostics only.
   std::atomic<uint64_t> LastResponseNanos{0};
 
-  /// The CollectorState::StopEpoch this thread last parked-and-shaded for;
-  /// 0 while not parked (epochs start at 1).
+  /// The CollectorState::StopEpoch this thread is parked for; 0 while not
+  /// parked (epochs start at 1).
   std::atomic<uint64_t> StwParkedEpoch{0};
 
   std::vector<ObjectRef> Stack;

@@ -35,16 +35,3 @@ size_t MutatorRegistry::size() const {
   std::scoped_lock Locked(Mutex);
   return Mutators.size();
 }
-
-size_t MutatorRegistry::countLaggingAndHelp(HandshakeStatus Status) {
-  std::scoped_lock Locked(Mutex);
-  size_t Lagging = 0;
-  for (Mutator *M : Mutators) {
-    if (M->status() == Status)
-      continue;
-    M->helpIfBlocked();
-    if (M->status() != Status)
-      ++Lagging;
-  }
-  return Lagging;
-}

@@ -47,10 +47,6 @@ public:
       Callback(*M);
   }
 
-  /// Returns the number of mutators whose status differs from \p Status,
-  /// helping blocked ones respond along the way.  Used by waitHandshake.
-  size_t countLaggingAndHelp(HandshakeStatus Status);
-
 private:
   CollectorState &State;
   mutable std::mutex Mutex;

@@ -5,16 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Stall detection for the on-the-fly protocol.  The soft handshake is the
-/// one place where the collector depends on every mutator: a thread that
-/// stops calling cooperate() without declaring itself blocked wedges
-/// waitHandshake() forever, and nothing in the paper's protocol can tell
-/// "slow" from "stuck".  The watchdog bounds that wait with a configurable
-/// deadline; on expiry it snapshots per-mutator diagnostics (posted vs.
-/// adopted status, blocked flag, time since the last handshake response)
-/// and applies a policy: log the report, hand it to an embedder callback,
-/// or abort.  A second, independent deadline covers the whole collection
-/// cycle, catching stalls inside the phases themselves.
+/// Stall detection for the on-the-fly protocol.  The collector depends on
+/// every mutator in one place, HandshakeDriver's wait loop — the soft
+/// handshakes, the stop-the-world pause and the abort unwind all wait
+/// through it.  A thread that stops calling cooperate() without declaring
+/// itself blocked wedges that wait forever, and nothing in the paper's
+/// protocol can tell "slow" from "stuck".  The watchdog bounds the wait
+/// with a configurable deadline under every policy; on expiry it snapshots
+/// per-mutator diagnostics (posted vs. adopted status, blocked flag, time
+/// since the last handshake response) and applies a policy: log the report,
+/// hand it to an embedder callback, or abort.  A second, independent
+/// deadline covers the whole collection cycle, catching stalls inside the
+/// phases themselves.
 ///
 /// Under Log/Callback/Abort, detection never unwedges the protocol — a
 /// stuck mutator stays stuck and the wait continues after the report — but
@@ -105,8 +107,9 @@ struct StallReport {
 
 /// Static watchdog configuration (part of CollectorConfig).
 struct WatchdogConfig {
-  /// Deadline for one handshake wait, in nanoseconds; 0 disables the
-  /// handshake watchdog.  A wait that stays stalled past the first fire
+  /// Deadline for one wait for the mutators (a handshake, a world stop or
+  /// the abort unwind), in nanoseconds; 0 disables the wait watchdog.  A
+  /// wait that stays stalled past the first fire
   /// re-fires on a capped-exponential schedule (gaps double from
   /// DeadlineNanos up to RefireCapNanos), with StallReport::Escalation
   /// counting the fires.
@@ -120,8 +123,8 @@ struct WatchdogConfig {
   /// EscalateAfterFires chances before any state is touched.
   unsigned EscalateAfterFires = 3;
   /// Deadline for one whole collection cycle, in nanoseconds; 0 disables.
-  /// Checked when the cycle completes (a mid-cycle stall always surfaces
-  /// through a handshake wait first, which the deadline above covers).
+  /// Checked when the cycle completes; a wedged mutator surfaces earlier,
+  /// through the wait deadline above, in every kind of cycle.
   uint64_t CycleDeadlineNanos = 0;
   /// What to do on expiry.
   WatchdogPolicy Policy = WatchdogPolicy::Log;

@@ -116,8 +116,20 @@ TEST(WorkloadCharacter, CopiesAggregateAcrossAllCopies) {
   // Merged histograms: each copy records its own stall/pause samples.
   EXPECT_GE(Pair.Metrics.StallNanos.count(),
             Single.Metrics.StallNanos.count());
-  // Cycle lists concatenate across copies.
-  EXPECT_GE(Pair.Gc.Cycles.size(), Single.Gc.Cycles.size());
+  // Cycle lists concatenate across copies.  Checked on synthetic copies of
+  // one cycle each: whether a 0.02-scale run collects at all is timing.
+  RunOptions TwoSynthetic;
+  TwoSynthetic.Copies = 2;
+  RunResult Concatenated = runRepeated(
+      [](uint64_t) {
+        RunResult R;
+        R.Gc.Cycles.emplace_back();
+        R.Gc.GcActiveNanos = 1000;
+        return R;
+      },
+      /*BaseSeed=*/1, TwoSynthetic);
+  EXPECT_EQ(Concatenated.Gc.Cycles.size(), 2u);
+  EXPECT_EQ(Concatenated.Gc.GcActiveNanos, 2000u);
 }
 
 TEST(WorkloadCharacter, AgingConfigurationRuns) {

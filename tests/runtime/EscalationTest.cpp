@@ -179,8 +179,10 @@ TEST(Escalation, RefireCountsUpAndReportsDiagnostics) {
     Ready = true;
     // Stay wedged until the watchdog has demonstrably re-fired (not for a
     // fixed duration: sanitizer builds slow the collector enough that a
-    // wall-clock wedge can end before the handshake wait even starts).
-    while (MaxEscalation.load() < 2 && !CycleDone.load())
+    // wall-clock wedge can end before the handshake wait even starts),
+    // capped so a silent watchdog fails the test instead of deadlocking.
+    auto Cap = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (MaxEscalation.load() < 2 && std::chrono::steady_clock::now() < Cap)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     while (!CycleDone.load()) {
       M->cooperate();
@@ -196,7 +198,7 @@ TEST(Escalation, RefireCountsUpAndReportsDiagnostics) {
   Slacker.join();
 
   EXPECT_GE(MaxEscalation.load(), 2u)
-      << "a 20 ms wedge against a 1 ms deadline re-fires";
+      << "a wedge against a 1 ms deadline re-fires";
   EXPECT_TRUE(SawPostedName.load());
   EXPECT_TRUE(SawSinceResponse.load());
 }
@@ -290,10 +292,9 @@ TEST(Escalation, AbortDegradeRecoverKeepsChecksum) {
 }
 
 TEST(Escalation, DegradedCycleReshadesAForcedThreadOnce) {
-  // A thread that never parks is forced in the degraded cycle's first
-  // world stop, before the color toggle.  The second stop must shade its
-  // roots again under the toggled colors, at once and without counting it
-  // a second time.
+  // A thread that never parks is forced in the degraded cycle's world
+  // stop, before the color toggle.  The collector must shade its roots
+  // under the toggled colors and count it once.
   RuntimeConfig Config = manualConfig();
   Config.Collector.Watchdog.DeadlineNanos = 2'000'000; // 2 ms
   Config.Collector.Watchdog.EscalateAfterFires = 2;
@@ -326,7 +327,7 @@ TEST(Escalation, DegradedCycleReshadesAForcedThreadOnce) {
   EXPECT_TRUE(Stats.Cycles[0].Aborted);
   EXPECT_TRUE(Stats.Cycles[1].Degraded);
   EXPECT_EQ(Stats.Cycles[1].ForcedMutators, 1u)
-      << "a thread forced in the first stop counts once";
+      << "a thread forced before the toggle counts once";
   EXPECT_NE(KeptColor, Color::Blue)
       << "the forced thread's root was not shaded after the toggle";
 }

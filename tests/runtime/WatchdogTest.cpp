@@ -68,9 +68,14 @@ TEST(Watchdog, CallbackFiresOnUnresponsiveMutator) {
     auto M = RT.attachMutator();
     M->allocate(1, 24);
     Ready = true;
-    // Miss the handshake deadline once, then cooperate until the cycle
-    // completes so the collector is never wedged for real.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // Miss the handshake deadline until the watchdog reports (not for a
+    // fixed duration: sanitizer builds slow the collector enough that a
+    // wall-clock wedge can end before the wait even starts), capped so a
+    // silent watchdog fails the test instead of deadlocking it.  Then
+    // cooperate until the cycle completes.
+    auto Cap = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (Fires.load() == 0 && std::chrono::steady_clock::now() < Cap)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     while (!CycleDone.load()) {
       M->cooperate();
       std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -88,6 +93,46 @@ TEST(Watchdog, CallbackFiresOnUnresponsiveMutator) {
   EXPECT_GE(RT.collector().watchdogFires(), 1u);
   EXPECT_GE(ReportedMutators.load(), 1u) << "the stalled mutator is listed";
   EXPECT_TRUE(SawHandshakeWhat.load());
+}
+
+TEST(Watchdog, StopTheWorldWaitReports) {
+  // The world-stop wait reports a thread that stops cooperating under
+  // every policy, not only under Escalate.
+  RuntimeConfig Config = manualConfig();
+  Config.Choice = CollectorChoice::StopTheWorld;
+  std::atomic<unsigned> StopReports{0};
+  Config.Collector.Watchdog.DeadlineNanos = 2'000'000; // 2 ms
+  Config.Collector.Watchdog.Policy = WatchdogPolicy::Callback;
+  Config.Collector.Watchdog.OnStall = [&](const StallReport &Report) {
+    if (std::string(Report.What) == "stop-the-world")
+      ++StopReports;
+  };
+  Runtime RT(Config);
+
+  std::atomic<bool> Ready{false}, CycleDone{false};
+  std::thread Slacker([&] {
+    auto M = RT.attachMutator();
+    M->allocate(1, 24);
+    Ready = true;
+    // Wedged until the stop is reported, capped so a silent wait fails
+    // the test instead of hanging it; then park and run on.
+    auto Cap = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (StopReports.load() == 0 && std::chrono::steady_clock::now() < Cap)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    while (!CycleDone.load()) {
+      M->cooperate();
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+
+  while (!Ready.load())
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  RT.collector().collectSync(CycleRequest::Full);
+  CycleDone = true;
+  Slacker.join();
+
+  EXPECT_GE(StopReports.load(), 1u)
+      << "a wedged thread hung the world stop without a report";
 }
 
 TEST(Watchdog, CycleDeadlineFiresUnderLogPolicy) {
