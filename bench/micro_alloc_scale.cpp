@@ -8,7 +8,7 @@
 // thread hammers allocate() with a small-object size mix while the
 // collector runs on its normal triggers, so the measurement covers the
 // whole path the refactor touched: thread cache -> home shard -> steal ->
-// lock-free block claim -> carve, plus sweep returning chains to shards.
+// carve a free block, plus sweep returning chains to shards.
 //
 // ctest -L bench-smoke runs the 1- and 8-thread points as a crash/regression
 // canary; the bench_alloc_scale_json target writes the full curve to

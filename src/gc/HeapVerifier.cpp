@@ -62,9 +62,6 @@ void HeapVerifier::verifyBlockTable(Report &R) const {
     uint64_t FreeSeen = 0;
     for (size_t I = 0; I < NumBlocks; ++I) {
       const BlockDescriptor &Desc = H.block(I);
-      // Acquire pairs with the carver's release-store of SizeClass: carving
-      // no longer holds BlockMutex, so the descriptor fields are only safe
-      // to read through the publication protocol GC lanes use.
       BlockState S = Desc.State.load(std::memory_order_acquire);
       ++R.ChecksRun;
       switch (S) {
@@ -128,29 +125,10 @@ void HeapVerifier::verifyBlockTable(Report &R) const {
                                  I, unsigned(Desc.RunStart)));
         break;
       }
-      case BlockState::Claimed:
-        // Transient: a carver (or large-run placement) won the Free ->
-        // Claimed CAS and is about to publish the real state or roll back.
-        // Nothing about the descriptor is stable yet.
-        break;
       }
     }
     ++R.ChecksRun;
-    // Carving bypasses BlockMutex (lock-free block stack), so the table can
-    // be mid-transition under our feet: a block may be Claimed before its
-    // FreeBlockCount decrement lands, or counted Free twice across the scan.
-    // Recount-and-confirm: only a mismatch that persists across several
-    // quiescent re-reads is real.
-    auto CountMismatch = [&]() -> bool {
-      uint64_t Free = 0;
-      for (size_t I = 0; I < NumBlocks; ++I)
-        if (H.block(I).State.load(std::memory_order_relaxed) ==
-            BlockState::Free)
-          ++Free;
-      FreeSeen = Free;
-      return Free != H.freeBlockCount();
-    };
-    if (FreeSeen != H.freeBlockCount() && confirmViolation(CountMismatch))
+    if (FreeSeen != H.freeBlockCount())
       addViolation(R, format("free-block count %llu != %llu Free blocks in "
                              "the table",
                              (unsigned long long)H.freeBlockCount(),

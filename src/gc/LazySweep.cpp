@@ -125,9 +125,11 @@ uint64_t LazySweepEngine::drainResidue() {
   uint64_t Swept = sweepSome(~0ull);
   // A mutator may still hold a claim from its refill path; the caller is
   // about to toggle colors, and every block must finish under the epoch it
-  // was published with, so wait the claim out.  The claimant never blocks
-  // on the collector (the sweep path takes only shard/stash mutexes), so
-  // this terminates.
+  // was published with, so wait the claim out.  A claim pops its block and
+  // counts it in sweepingBlockCount() in one critical section, so once
+  // sweepSome has found every stack empty the count covers every claim.
+  // The claimant never blocks on the collector (the sweep path takes only
+  // shard/stash mutexes), so this terminates.
   Backoff Back(/*InitialNanos=*/1000, /*CapNanos=*/100'000);
   while (H.sweepingBlockCount() != 0)
     Back.pause();

@@ -34,13 +34,13 @@ namespace gengc {
 class AtomicByteTable {
 public:
   /// Creates a table covering \p CoveredBytes of address space with one
-  /// entry per 2^\p Shift bytes.  All entries start at zero.
+  /// entry per 2^\p Shift bytes.  All entries start at zero: since C++20,
+  /// std::atomic's default constructor value-initializes its value.
   AtomicByteTable(uint64_t CoveredBytes, unsigned Shift)
       : Shift(Shift), NumEntries(CoveredBytes >> Shift),
         Entries(new std::atomic<uint8_t>[NumEntries]) {
     GENGC_ASSERT((CoveredBytes & ((1ull << Shift) - 1)) == 0,
                  "covered size must be a multiple of the granule");
-    clearAll();
   }
 
   /// Number of entries in the table.

@@ -20,8 +20,6 @@ const char *gengc::blockStateName(BlockState State) {
     return "large-start";
   case BlockState::LargeCont:
     return "large-cont";
-  case BlockState::Claimed:
-    return "claimed";
   }
   return "invalid";
 }

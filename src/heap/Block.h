@@ -34,19 +34,13 @@ enum class BlockState : uint8_t {
   LargeStart,
   /// Continuation block of a large-object run.
   LargeCont,
-  /// Transiently claimed by a carver or a large-run placement: the winner
-  /// of the CAS from Free owns the block and will publish SizeClass /
-  /// LargeStart / LargeCont (or roll back to Free).  Ownership of a free
-  /// block is decided by this CAS, not by membership in the free stack —
-  /// stack entries are hints that may go stale (see Heap).
-  Claimed,
 };
 
 /// Lazy-sweep lifecycle of a size-class block (SweepPolicy::Lazy only; under
 /// the eager policy every block stays Swept).  Published by the collector's
-/// PublishSweep phase, claimed via CAS by exactly one sweeper — a mutator
-/// refilling its cache or a collector residue pass — and marked Swept again
-/// before any of its cells re-enter a central free list.
+/// PublishSweep phase, claimed by exactly one sweeper — a mutator refilling
+/// its cache or a collector residue pass — and marked Swept again before any
+/// of its cells re-enter a central free list.
 enum class BlockSweep : uint8_t {
   /// No reclamation pending; cells may circulate through free lists.
   Swept,
@@ -54,18 +48,18 @@ enum class BlockSweep : uint8_t {
   /// this block may enter a central free list until it is swept under the
   /// epoch it was published with.
   NeedsSweep,
-  /// Claimed by exactly one sweeper (NeedsSweep -> Sweeping CAS).
+  /// Claimed by exactly one sweeper (Heap::claimNeedsSweepBlock).
   Sweeping,
 };
 
 /// Side metadata for one 64 KiB block.
 ///
-/// Descriptors are written under the heap's block mutex but read lock-free
-/// by GC worker lanes (sweep, card scan, recolor all classify blocks by
-/// State).  State is therefore atomic, and writers populate the other
-/// fields *before* storing an object-holding State: a reader that observes
-/// SizeClass or LargeStart through the State load is guaranteed to see the
-/// matching field values.
+/// Every State transition into or out of Free happens under the heap's
+/// block mutex, but GC worker lanes read descriptors without it (sweep,
+/// card scan, recolor all classify blocks by State).  State is therefore
+/// atomic, and writers populate the other fields *before* storing an
+/// object-holding State: a reader that observes SizeClass or LargeStart
+/// through the State load is guaranteed to see the matching field values.
 struct BlockDescriptor {
   std::atomic<BlockState> State{BlockState::Free};
   /// Size-class index (State == SizeClass).
@@ -92,23 +86,12 @@ struct BlockDescriptor {
   /// mutators that populated the block.
   uint8_t HomeShard = 0;
 
-  /// Intrusive link of the heap's lock-free free-block stack (the block
-  /// index below this one on the stack; 0 terminates, block 0 is
-  /// reserved).  Only meaningful while InStack is set.
-  std::atomic<uint32_t> NextFree{0};
-
-  /// Whether this block's index is currently linked into the free stack.
-  /// Guards against double-linking: a block claimed out from under a stale
-  /// stack entry keeps the entry until a pop consumes it.
-  std::atomic<uint8_t> InStack{0};
-
-  /// Lazy-sweep state (BlockSweep values; stored as the raw byte so the
-  /// claim CAS can run on any thread).  Transitions: Swept -> NeedsSweep
-  /// (collector publish, release store after SweepEpoch), NeedsSweep ->
-  /// Sweeping (claim CAS; sole claim path is Heap::claimNeedsSweepBlock),
-  /// Sweeping -> Swept (release store *before* the claimant pushes the
-  /// block's cells, so a chain observed in a central list always belongs to
-  /// a swept block).
+  /// Lazy-sweep state (BlockSweep values, stored as the raw byte).
+  /// Transitions: Swept -> NeedsSweep (collector publish, release store
+  /// after SweepEpoch), NeedsSweep -> Sweeping (Heap::claimNeedsSweepBlock,
+  /// under the heap's needs-sweep mutex), Sweeping -> Swept (release store
+  /// *before* the claimant pushes the block's cells, so a chain observed in
+  /// a central list always belongs to a swept block).
   std::atomic<uint8_t> Sweep{uint8_t(BlockSweep::Swept)};
 
   /// Color-toggle epoch (CollectorState::ColorEpoch) this block was
@@ -116,11 +99,6 @@ struct BlockDescriptor {
   /// toggle: the sweep interprets the clear color the publish fixed, so the
   /// verifier checks SweepEpoch == ColorEpoch for every unswept block.
   std::atomic<uint32_t> SweepEpoch{0};
-
-  /// Intrusive link of the per-size-class needs-sweep stack (block index;
-  /// 0 terminates).  Written by the publisher before the block is pushed,
-  /// stable until the pop that claims it.
-  std::atomic<uint32_t> NextNeedsSweep{0};
 };
 
 /// Returns a printable name of \p State for diagnostics.

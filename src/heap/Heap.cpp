@@ -47,18 +47,15 @@ Heap::Heap(const HeapConfig &Config)
   Shards.reset(new CentralShard[size_t(NumSizeClasses) * NumShards]);
   Stash.reset(new std::vector<CellChain>[Blocks.size()]);
 
-  // The arena contents start undefined but the chain links are read with
-  // plain loads, so scrub word 0 of every granule defensively in debug
-  // builds only?  No: free-list links are always written before being read
-  // (carveClaimedBlock below), so no arena initialization is required.
-
   // Block 0 is reserved so that arena offset 0 can act as the null
   // reference.  Push the rest highest-first so pops come out in ascending
-  // address order (low addresses used first, for determinism).
+  // address order (low addresses used first, for determinism).  The stack
+  // never holds more than this, so pushes under BlockMutex never allocate.
   Blocks[0].State = BlockState::Reserved;
+  FreeBlocks.reserve(Blocks.size() - 1);
   for (uint32_t I = uint32_t(Blocks.size()); I-- > 1;)
-    pushFreeBlock(I);
-  FreeBlockCount.store(Blocks.size() - 1, std::memory_order_relaxed);
+    FreeBlocks.push_back(I);
+  FreeBlockCount.store(FreeBlocks.size(), std::memory_order_relaxed);
 
   Pages.registerRegion(Region::Arena, Config.HeapBytes);
   Pages.registerRegion(Region::ColorTable, Colors.size());
@@ -71,89 +68,27 @@ Heap::Heap(const HeapConfig &Config)
 Heap::~Heap() = default;
 
 //===----------------------------------------------------------------------===//
-// Lock-free free-block stack.
-//===----------------------------------------------------------------------===//
-
-void Heap::pushFreeBlock(uint32_t BlockIdx) {
-  BlockDescriptor &Desc = Blocks[BlockIdx];
-  uint8_t NotLinked = 0;
-  // A stale entry (left behind by an in-place large-run claim) still names
-  // this block; one entry per block is enough for poppers to find it.
-  //
-  // The InStack handshake is seq_cst on both sides (here and in
-  // popFreeBlockIndex) to close a lost-block window: the pusher stores
-  // State=Free then reads InStack, the popper clears InStack then CASes
-  // State.  With weaker orders both could use stale values (store-load
-  // reordering) — push no-ops against an entry already unlinked AND the
-  // popper's claim misses the new Free state — stranding the block.  The
-  // single total order of seq_cst operations makes one side see the other.
-  if (!Desc.InStack.compare_exchange_strong(NotLinked, 1,
-                                            std::memory_order_seq_cst,
-                                            std::memory_order_seq_cst))
-    return;
-  uint64_t Head = FreeStackHead.load(std::memory_order_acquire);
-  for (;;) {
-    Desc.NextFree.store(uint32_t(Head), std::memory_order_relaxed);
-    uint64_t NewHead = ((Head >> 32) + 1) << 32 | BlockIdx;
-    if (FreeStackHead.compare_exchange_weak(Head, NewHead,
-                                            std::memory_order_release,
-                                            std::memory_order_acquire))
-      return;
-  }
-}
-
-uint32_t Heap::popFreeBlockIndex() {
-  uint64_t Head = FreeStackHead.load(std::memory_order_acquire);
-  for (;;) {
-    uint32_t Idx = uint32_t(Head);
-    if (Idx == 0)
-      return 0;
-    // The next link may be concurrently rewritten by a popper re-pushing
-    // the block; the tagged-head CAS below fails in that case, so a torn
-    // read is never installed.
-    uint32_t Next = Blocks[Idx].NextFree.load(std::memory_order_relaxed);
-    uint64_t NewHead = ((Head >> 32) + 1) << 32 | Next;
-    if (FreeStackHead.compare_exchange_weak(Head, NewHead,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-      Blocks[Idx].InStack.store(0, std::memory_order_seq_cst);
-      return Idx;
-    }
-  }
-}
-
-uint32_t Heap::claimFreeBlock() {
-  for (;;) {
-    uint32_t Idx = popFreeBlockIndex();
-    if (Idx == 0)
-      return 0;
-    BlockState Free = BlockState::Free;
-    if (Blocks[Idx].State.compare_exchange_strong(Free, BlockState::Claimed,
-                                                  std::memory_order_seq_cst,
-                                                  std::memory_order_seq_cst)) {
-      FreeBlockCount.fetch_sub(1, std::memory_order_relaxed);
-      return Idx;
-    }
-    // Stale entry: the block was claimed in place by large-run placement.
-    // Drop it and keep popping; its next free episode re-pushes it.
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Sharded central free lists.
 //===----------------------------------------------------------------------===//
 
-void Heap::carveClaimedBlock(uint32_t BlockIdx, unsigned ClassIdx,
-                             unsigned HomeShard) {
+bool Heap::carveBlock(unsigned ClassIdx, unsigned HomeShard) {
+  std::unique_lock Locked(BlockMutex);
+  if (FreeBlocks.empty())
+    return false;
+  uint32_t BlockIdx = FreeBlocks.back();
+  FreeBlocks.pop_back();
+  FreeBlockCount.fetch_sub(1, std::memory_order_relaxed);
   BlockDescriptor &Desc = Blocks[BlockIdx];
-  // Fields first, State last: GC lanes read descriptors lock-free and are
-  // promised valid fields once they observe an object-holding State.
+  // Fields first, State last: GC lanes read descriptors without the lock
+  // and are promised valid fields once they observe an object-holding
+  // State.
   Desc.SizeClassIdx = uint8_t(ClassIdx);
   Desc.CellBytes = sizeClassBytes(ClassIdx);
   Desc.CellRecip = uint32_t(divideCeil(1ull << 32, Desc.CellBytes));
   Desc.NumCells = uint32_t(BlockBytes / Desc.CellBytes);
   Desc.HomeShard = uint8_t(HomeShard);
   Desc.State.store(BlockState::SizeClass, std::memory_order_release);
+  Locked.unlock();
 
   // Thread all cells into chains of at most ChainCells and queue them on
   // the home shard (whose mutex the caller holds).
@@ -171,6 +106,7 @@ void Heap::carveClaimedBlock(uint32_t BlockIdx, unsigned ClassIdx,
   }
   if (Chain.Count != 0)
     Sh.Chains.push_back(Chain);
+  return true;
 }
 
 Heap::CellChain Heap::popFreeChain(unsigned ClassIdx, unsigned HomeShard) {
@@ -251,14 +187,12 @@ unsigned Heap::popFreeChains(unsigned ClassIdx, unsigned HomeShard,
     // Every shard is empty: carve a fresh block into the home shard.  The
     // shard lock is re-taken first and the inventory re-checked, so two
     // racing refills of the same shard carve at most one block between
-    // them.  Block claim itself is lock-free (BlockMutex stays cold).
+    // them.
     CentralShard &Home = shard(ClassIdx, HomeShard);
     std::scoped_lock Locked(Home.Mutex);
     if (Home.Chains.empty()) {
-      uint32_t BlockIdx = claimFreeBlock();
-      if (BlockIdx == 0)
+      if (!carveBlock(ClassIdx, HomeShard))
         return 0;
-      carveClaimedBlock(BlockIdx, ClassIdx, HomeShard);
       Carves.fetch_add(1, std::memory_order_relaxed);
       if (Stats)
         Stats->Carved = true;
@@ -335,47 +269,29 @@ void Heap::publishNeedsSweep(uint32_t BlockIdx, uint32_t Epoch) {
 }
 
 void Heap::enqueueNeedsSweep(uint32_t BlockIdx) {
-  BlockDescriptor &Desc = Blocks[BlockIdx];
-  std::atomic<uint64_t> &Head = NeedsSweepHeads[Desc.SizeClassIdx];
-  uint64_t H = Head.load(std::memory_order_acquire);
-  for (;;) {
-    Desc.NextNeedsSweep.store(uint32_t(H), std::memory_order_relaxed);
-    uint64_t NewHead = ((H >> 32) + 1) << 32 | BlockIdx;
-    if (Head.compare_exchange_weak(H, NewHead, std::memory_order_release,
-                                   std::memory_order_acquire))
-      break;
-  }
+  std::scoped_lock Locked(NeedsSweepMutex);
+  NeedsSweepStacks[Blocks[BlockIdx].SizeClassIdx].push_back(BlockIdx);
   NeedsSweepBlocks.fetch_add(1, std::memory_order_release);
   LazyPublished.fetch_add(1, std::memory_order_relaxed);
 }
 
 uint32_t Heap::claimNeedsSweepBlock(unsigned ClassIdx) {
   GENGC_ASSERT(ClassIdx < NumSizeClasses, "size class out of range");
-  std::atomic<uint64_t> &Head = NeedsSweepHeads[ClassIdx];
-  uint64_t H = Head.load(std::memory_order_acquire);
-  for (;;) {
-    uint32_t Idx = uint32_t(H);
-    if (Idx == 0)
-      return 0;
-    uint32_t Next = Blocks[Idx].NextNeedsSweep.load(std::memory_order_relaxed);
-    uint64_t NewHead = ((H >> 32) + 1) << 32 | Next;
-    if (!Head.compare_exchange_weak(H, NewHead, std::memory_order_acq_rel,
-                                    std::memory_order_acquire))
-      continue;
-    // The pop hands this thread the sole claim path for the block, so the
-    // CAS below can fail only against a protocol bug; treat a failure
-    // defensively by skipping the entry.
-    uint8_t Expected = uint8_t(BlockSweep::NeedsSweep);
-    if (!Blocks[Idx].Sweep.compare_exchange_strong(
-            Expected, uint8_t(BlockSweep::Sweeping),
-            std::memory_order_acq_rel, std::memory_order_acquire)) {
-      H = Head.load(std::memory_order_acquire);
-      continue;
-    }
-    SweepingBlocks.fetch_add(1, std::memory_order_release);
-    NeedsSweepBlocks.fetch_sub(1, std::memory_order_release);
-    return Idx;
-  }
+  std::scoped_lock Locked(NeedsSweepMutex);
+  std::vector<uint32_t> &Stack = NeedsSweepStacks[ClassIdx];
+  if (Stack.empty())
+    return 0;
+  uint32_t Idx = Stack.back();
+  Stack.pop_back();
+  // The pop is the block's only claim path, so it is still as published.
+  std::atomic<uint8_t> &Sweep = Blocks[Idx].Sweep;
+  GENGC_ASSERT(Sweep.load(std::memory_order_acquire) ==
+                   uint8_t(BlockSweep::NeedsSweep),
+               "needs-sweep stack holds a block that is not NeedsSweep");
+  Sweep.store(uint8_t(BlockSweep::Sweeping), std::memory_order_release);
+  SweepingBlocks.fetch_add(1, std::memory_order_release);
+  NeedsSweepBlocks.fetch_sub(1, std::memory_order_release);
+  return Idx;
 }
 
 void Heap::markBlockSwept(uint32_t BlockIdx) {
@@ -456,39 +372,15 @@ ObjectRef Heap::allocateLarge(uint32_t Bytes) {
 
   // First-fit scan for a contiguous run of free blocks.  Linear in the
   // number of blocks, but large allocations are rare in all workloads.
-  // BlockMutex serializes large allocations against each other; racing
-  // single-block carvers are excluded per block by the Free -> Claimed
-  // CAS: every block of the run is claimed in place (its free-stack entry
-  // goes stale) and rolled back if a later block of the run is lost.
   uint32_t RunStart = 0, RunLen = 0;
-  auto RollBack = [&] {
-    // Re-push after unclaiming: a popper may have consumed the block's
-    // stale stack entry (and given up) while we held it Claimed, so the
-    // entry cannot be assumed to still exist.  seq_cst store pairs with
-    // the popper-side handshake (see pushFreeBlock).
-    for (uint32_t I = RunStart; I < RunStart + RunLen; ++I) {
-      Blocks[I].State.store(BlockState::Free, std::memory_order_seq_cst);
-      pushFreeBlock(I);
-    }
-    RunLen = 0;
-  };
-  for (uint32_t I = 1; I < Blocks.size(); ++I) {
-    BlockState Free = BlockState::Free;
-    if (!Blocks[I].State.compare_exchange_strong(Free, BlockState::Claimed,
-                                                 std::memory_order_seq_cst,
-                                                 std::memory_order_seq_cst)) {
-      RollBack();
-      continue;
-    }
-    if (RunLen == 0)
+  for (uint32_t I = 1; I < Blocks.size() && RunLen < Needed; ++I) {
+    if (Blocks[I].State.load(std::memory_order_relaxed) != BlockState::Free)
+      RunLen = 0;
+    else if (RunLen++ == 0)
       RunStart = I;
-    if (++RunLen == Needed)
-      break;
   }
-  if (RunLen < Needed) {
-    RollBack();
+  if (RunLen < Needed)
     return NullRef;
-  }
 
   for (uint32_t I = RunStart; I < RunStart + Needed; ++I) {
     BlockDescriptor &Desc = Blocks[I];
@@ -500,6 +392,9 @@ ObjectRef Heap::allocateLarge(uint32_t Bytes) {
                                    : BlockState::LargeCont,
                      std::memory_order_release);
   }
+  std::erase_if(FreeBlocks, [&](uint32_t I) {
+    return I >= RunStart && I < RunStart + Needed;
+  });
   FreeBlockCount.fetch_sub(Needed, std::memory_order_relaxed);
 
   uint64_t RunBytes = uint64_t(Needed) * BlockBytes;
@@ -526,8 +421,8 @@ void Heap::freeLargeRun(uint32_t BlockIdx) {
     Desc.LargeBytes = 0;
     Desc.RunBlocks = 0;
     Desc.RunStart = 0;
-    Desc.State.store(BlockState::Free, std::memory_order_seq_cst);
-    pushFreeBlock(I);
+    Desc.State.store(BlockState::Free, std::memory_order_release);
+    FreeBlocks.push_back(I);
   }
   FreeBlockCount.fetch_add(Run, std::memory_order_relaxed);
   UsedBytes.fetch_sub(uint64_t(Run) * BlockBytes, std::memory_order_relaxed);
@@ -543,7 +438,6 @@ uint32_t Heap::storageBytesOf(ObjectRef Ref) const {
   case BlockState::LargeCont:
   case BlockState::Free:
   case BlockState::Reserved:
-  case BlockState::Claimed:
     break;
   }
   GENGC_UNREACHABLE("storageBytesOf on a ref outside any object block");

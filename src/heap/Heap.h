@@ -199,9 +199,9 @@ public:
   // size class owns allocShards() independent chain inventories, each
   // behind its own mutex.  A refill serves from the caller's home shard,
   // steals from neighbors when the home shard is dry, and falls back to
-  // carving a fresh block (claimed from a lock-free stack) when every
-  // shard is empty — so exhaustion is only declared after probing the
-  // whole heap.
+  // carving a fresh block (popped from the free-block stack under
+  // BlockMutex) when every shard is empty — so exhaustion is only declared
+  // after probing the whole heap.
   //===--------------------------------------------------------------------===
 
   /// Number of central-list shards per size class (a power of two).
@@ -298,14 +298,16 @@ public:
   /// central lists first.
   void publishNeedsSweep(uint32_t BlockIdx, uint32_t Epoch);
 
-  /// Links published block \p BlockIdx onto its class's needs-sweep stack,
+  /// Pushes published block \p BlockIdx onto its class's needs-sweep stack,
   /// making it claimable (collector publish only, after the free-list
   /// drain).
   void enqueueNeedsSweep(uint32_t BlockIdx);
 
-  /// Pops and claims (Sweep NeedsSweep -> Sweeping CAS) one needs-sweep
-  /// block of \p ClassIdx.  Returns 0 when none remains.  The caller must
-  /// sweep the block and call markBlockSwept + finishBlockSweep.
+  /// Pops one needs-sweep block of \p ClassIdx and marks it Sweeping; the
+  /// same critical section counts it in sweepingBlockCount(), so a block is
+  /// always either on a stack or counted.  Returns 0 when none remains.
+  /// The caller must sweep the block and call markBlockSwept +
+  /// finishBlockSweep.
   uint32_t claimNeedsSweepBlock(unsigned ClassIdx);
 
   /// Marks claimed block \p BlockIdx swept.  Must precede pushing any of
@@ -388,7 +390,6 @@ public:
     switch (Desc.State) {
     case BlockState::Free:
     case BlockState::Reserved:
-    case BlockState::Claimed:
       return;
     case BlockState::LargeStart:
       Callback(ObjectRef(uint64_t(BlockIdx) << BlockShift));
@@ -511,14 +512,12 @@ public:
   // collector but not for an invariant check.
   //===--------------------------------------------------------------------===
 
-  /// Runs \p Callback with the block-structure lock held, freezing
-  /// large-run placement and reclamation for its duration.  Single-block
-  /// carving is NOT frozen: carvers claim blocks from the lock-free free
-  /// stack without this mutex, so checks against carving must tolerate (or
-  /// confirm away) in-flight claims.  The callback must not allocate from
-  /// this heap (lock order: shard mutexes come BEFORE BlockMutex — a shard
-  /// lock is held across the carve fallback's descriptor publication, and
-  /// nothing ever takes a shard lock while holding BlockMutex).
+  /// Runs \p Callback with BlockMutex held, freezing every block-state
+  /// transition into or out of Free (carving, large-run placement and
+  /// reclamation) for its duration.  The callback must not allocate from
+  /// this heap (lock order: shard mutexes come BEFORE BlockMutex — the carve
+  /// fallback holds its shard lock while it takes BlockMutex, and nothing
+  /// ever takes a shard lock while holding BlockMutex).
   template <typename Fn> void withBlocksLocked(Fn Callback) const {
     std::scoped_lock Locked(BlockMutex);
     Callback();
@@ -556,31 +555,10 @@ private:
     return Shards[size_t(ClassIdx) * NumShards + S];
   }
 
-  //===-- Lock-free free-block stack --------------------------------------===
-  // A Treiber stack of free block indices, intrusively linked through
-  // BlockDescriptor::NextFree.  The head packs {version tag, block index}
-  // into one u64 (the tag defeats ABA).  Entries are HINTS: large-run
-  // placement claims blocks in place via a CAS on BlockDescriptor::State,
-  // leaving the stack entry stale; poppers skip entries whose claim CAS
-  // fails.  InStack keeps a block from being linked twice.
-
-  /// Links \p BlockIdx onto the stack unless it is already linked.
-  /// Does not touch FreeBlockCount.
-  void pushFreeBlock(uint32_t BlockIdx);
-
-  /// Unlinks and returns the top block index, or 0 when empty.  The caller
-  /// does not own the block yet — it must still win the State CAS.
-  uint32_t popFreeBlockIndex();
-
-  /// Pops until a block is successfully claimed (State Free -> Claimed).
-  /// Returns its index and decrements FreeBlockCount, or returns 0 when
-  /// the stack is exhausted.
-  uint32_t claimFreeBlock();
-
-  /// Carves claimed block \p BlockIdx for \p ClassIdx, depositing its cell
-  /// chains into shard \p HomeShard (whose mutex the caller holds).
-  void carveClaimedBlock(uint32_t BlockIdx, unsigned ClassIdx,
-                         unsigned HomeShard);
+  /// Pops a free block and publishes it as a block of \p ClassIdx under
+  /// BlockMutex, then threads its cells into chains on shard \p HomeShard
+  /// (whose mutex the caller holds).  Returns false when no block is free.
+  bool carveBlock(unsigned ClassIdx, unsigned HomeShard);
 
   HeapConfig Config;
   std::unique_ptr<std::atomic<uint32_t>[]> Arena;
@@ -593,14 +571,13 @@ private:
 
   std::vector<BlockDescriptor> Blocks;
 
-  /// Guards large-run placement and reclamation (rare, multi-block
-  /// operations that scan the block table).  Single-block carving bypasses
-  /// it via the free stack + State CAS.  Mutable so the verifier's const
-  /// freeze (withBlocksLocked) can lock it.
+  /// Guards FreeBlocks and every block-state transition into or out of
+  /// Free: carving, large-run placement and reclamation.  Mutable so the
+  /// verifier's const freeze (withBlocksLocked) can lock it.
   mutable std::mutex BlockMutex;
 
-  /// Head of the lock-free free-block stack: (tag << 32) | block index.
-  std::atomic<uint64_t> FreeStackHead{0};
+  /// Exactly the Free blocks, as a stack whose top is carved next.
+  std::vector<uint32_t> FreeBlocks;
 
   /// Central free lists: NumSizeClasses * NumShards shards, row-major by
   /// class (see shard()).
@@ -623,12 +600,13 @@ private:
   /// The installed gc-layer sweep engine, or null (eager policy).
   std::atomic<LazySweeper *> LazyHook{nullptr};
 
-  /// Per-size-class Treiber stacks of needs-sweep block indices, linked
-  /// through BlockDescriptor::NextNeedsSweep; head packs {tag, index} like
-  /// FreeStackHead.  Unlike the free-block stack these entries are not
-  /// hints: a block is pushed exactly once per publish and claimed by the
-  /// pop + Sweep CAS in claimNeedsSweepBlock.
-  std::atomic<uint64_t> NeedsSweepHeads[NumSizeClasses] = {};
+  /// Guards NeedsSweepStacks and the claim that pops from them; never held
+  /// across any other lock acquisition.
+  std::mutex NeedsSweepMutex;
+
+  /// Per-size-class stacks of published, unclaimed block indices.  A block
+  /// is pushed once per publish and popped by the claim that sweeps it.
+  std::vector<uint32_t> NeedsSweepStacks[NumSizeClasses];
 
   /// Guards every per-block stash in Stash.  Acquired after a shard mutex
   /// (pushFreeChain routing, the publish drain) and never held across any

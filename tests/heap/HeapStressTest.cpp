@@ -5,15 +5,18 @@
 //===----------------------------------------------------------------------===//
 //
 // Heap-manager stress beyond the unit tests: chain integrity under
-// concurrent pop/push across size classes, exhaust-and-recover cycles, and
-// large-run placement under fragmentation.
+// concurrent pop/push across size classes, exhaust-and-recover cycles,
+// large-run placement under fragmentation, and single-block carving racing
+// large-run placement and reclamation.
 //
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "heap/Heap.h"
 #include "support/Random.h"
@@ -134,6 +137,107 @@ TEST(HeapStress, LargeRunsUnderFragmentation) {
   for (size_t I = 1; I < Runs.size(); I += 2)
     H.freeLargeRun(H.blockIndexOf(Runs[I]));
   EXPECT_NE(H.allocateLarge(uint32_t(4 * Heap::BlockBytes) - 64), NullRef);
+}
+
+TEST(HeapStress, CarvingRacesLargeRunPlacement) {
+  // Single-block carving and large-run placement both take blocks out of
+  // the free pool, and large-run reclamation puts them back.  Race the
+  // three on a heap small enough to run dry, then check that no block
+  // ended up owned by both a size class and a run, and that the free count
+  // agrees with the block table.
+  constexpr unsigned Iterations = 20, Ops = 48;
+  struct HeldChain {
+    unsigned Class;
+    unsigned Shard;
+    Heap::CellChain Chain;
+  };
+  struct HeldRun {
+    uint32_t Start;
+    uint32_t Blocks;
+  };
+  for (unsigned Iter = 0; Iter < Iterations; ++Iter) {
+    HeapConfig Config;
+    Config.HeapBytes = 64 * Heap::BlockBytes;
+    Config.AllocShards = 4;
+    Heap H(Config);
+
+    std::vector<HeldChain> Chains[2];
+    std::vector<HeldRun> Runs[2];
+    std::atomic<bool> Go{false};
+    auto AwaitGo = [&] {
+      while (!Go.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    };
+    std::vector<std::thread> Workers;
+    for (unsigned T = 0; T < 2; ++T)
+      Workers.emplace_back([&, T] {
+        Rng Rand(Iter * 4 + T + 1);
+        AwaitGo();
+        for (unsigned I = 0; I < Ops; ++I) {
+          unsigned Class = unsigned(Rand.nextBelow(NumSizeClasses));
+          Heap::CellChain Chain = H.popFreeChain(Class, T);
+          if (Chain.Count != 0)
+            Chains[T].push_back({Class, T, Chain});
+        }
+      });
+    for (unsigned T = 0; T < 2; ++T)
+      Workers.emplace_back([&, T] {
+        Rng Rand(Iter * 4 + T + 3);
+        std::vector<HeldRun> &Held = Runs[T];
+        AwaitGo();
+        for (unsigned I = 0; I < Ops; ++I) {
+          if (!Held.empty() && Rand.nextBelow(2) == 0) {
+            size_t Victim = Rand.nextBelow(Held.size());
+            H.freeLargeRun(Held[Victim].Start);
+            Held[Victim] = Held.back();
+            Held.pop_back();
+            continue;
+          }
+          uint32_t Blocks = 1 + uint32_t(Rand.nextBelow(3));
+          ObjectRef Base =
+              H.allocateLarge(uint32_t(Blocks * Heap::BlockBytes) - 64);
+          if (Base != NullRef)
+            Held.push_back({H.blockIndexOf(Base), Blocks});
+        }
+      });
+    Go.store(true, std::memory_order_release);
+    for (std::thread &W : Workers)
+      W.join();
+
+    std::vector<bool> Carved(H.numBlocks());
+    for (const std::vector<HeldChain> &PerThread : Chains)
+      for (const HeldChain &Held : PerThread)
+        for (ObjectRef Cell = Held.Chain.Head; Cell != NullRef;
+             Cell = H.chainNext(Cell)) {
+          uint32_t BlockIdx = H.blockIndexOf(Cell);
+          const BlockDescriptor &Desc = H.block(BlockIdx);
+          ASSERT_EQ(Desc.State.load(), BlockState::SizeClass)
+              << "held cell in block " << BlockIdx;
+          ASSERT_EQ(Desc.SizeClassIdx, Held.Class)
+              << "held cell in block " << BlockIdx;
+          Carved[BlockIdx] = true;
+        }
+    for (const std::vector<HeldRun> &PerThread : Runs)
+      for (const HeldRun &Run : PerThread)
+        for (uint32_t B = Run.Start; B < Run.Start + Run.Blocks; ++B) {
+          ASSERT_FALSE(Carved[B]) << "a live run covers carved block " << B;
+          ASSERT_EQ(H.block(B).State.load(), B == Run.Start
+                                                 ? BlockState::LargeStart
+                                                 : BlockState::LargeCont);
+        }
+    uint64_t FreeSeen = 0;
+    for (size_t B = 0; B < H.numBlocks(); ++B)
+      FreeSeen += H.block(B).State.load() == BlockState::Free;
+    EXPECT_EQ(FreeSeen, H.freeBlockCount());
+
+    for (const std::vector<HeldChain> &PerThread : Chains)
+      for (const HeldChain &Held : PerThread)
+        H.pushFreeChain(Held.Class, Held.Chain, Held.Shard);
+    for (const std::vector<HeldRun> &PerThread : Runs)
+      for (const HeldRun &Run : PerThread)
+        H.freeLargeRun(Run.Start);
+    EXPECT_EQ(H.usedBytes(), 0u) << "iteration " << Iter;
+  }
 }
 
 TEST(HeapStress, ChainCellsConfigBoundsChainLength) {

@@ -5,7 +5,7 @@
 // The sharded central free lists: home-shard hashing, ring-order stealing
 // with the bounded-steal budget, carve fallback when every shard is dry,
 // chain conservation across shards, and a many-mutator churn stress that
-// doubles as the TSan/ASan gate for the lock-free block stack.
+// doubles as the TSan/ASan gate for the refill and carve paths.
 //
 //===----------------------------------------------------------------------===//
 
@@ -231,7 +231,7 @@ TEST(ShardedFreeList, ConfigRejectsBadShardCounts) {
 //===----------------------------------------------------------------------===//
 // Many-mutator churn stress.  64 threads hammer the allocation path of a
 // multi-shard runtime while the collector runs; under the TSan build this is
-// the data-race gate for the lock-free block stack and the per-shard locks,
+// the data-race gate for the block carve and the per-shard locks,
 // under ASan it checks the free-list protocol never double-frees a cell.
 //===----------------------------------------------------------------------===//
 
