@@ -2,13 +2,13 @@
 //
 // Part of the gengc project (PLDI 2000 generational on-the-fly GC repro).
 //
-// Allocation-churn throughput as mutator count grows 1 -> 256, for the
-// sharded central free lists (AllocShards=8, batched refill) against the
-// pre-sharding configuration (one shard, one chain per refill).  Every
-// thread hammers allocate() with a small-object size mix while the
-// collector runs on its normal triggers, so the measurement covers the
-// whole path the refactor touched: thread cache -> home shard -> steal ->
-// carve a free block, plus sweep returning chains to shards.
+// Allocation-churn throughput as mutator count grows 1 -> 256, with
+// batched refill (RefillBatchMax=8) against one chain per refill
+// (RefillBatchMax=1).  Every thread hammers allocate() with a small-object
+// size mix while the collector runs on its normal triggers, so the
+// measurement covers the whole allocation path: thread cache -> spare
+// chains -> the class's central list -> carve a free block, plus sweep
+// returning chains to the lists.
 //
 // ctest -L bench-smoke runs the 1- and 8-thread points as a crash/regression
 // canary; the bench_alloc_scale_json target writes the full curve to
@@ -29,10 +29,9 @@ using namespace gengc;
 
 namespace {
 
-RuntimeConfig scaleConfig(uint32_t Shards, uint32_t RefillBatchMax) {
+RuntimeConfig scaleConfig(uint32_t RefillBatchMax) {
   RuntimeConfig Config;
   Config.Heap.HeapBytes = 64ull << 20;
-  Config.Heap.AllocShards = Shards;
   Config.Heap.RefillBatchMax = RefillBatchMax;
   Config.Choice = CollectorChoice::Generational;
   Config.Collector.GcThreads = 2;
@@ -75,9 +74,8 @@ struct SharedRuntime {
 
 SharedRuntime Shared;
 
-void allocChurn(benchmark::State &State, uint32_t Shards,
-                uint32_t RefillBatchMax) {
-  Runtime &RT = Shared.acquire(State, scaleConfig(Shards, RefillBatchMax));
+void allocChurn(benchmark::State &State, uint32_t RefillBatchMax) {
+  Runtime &RT = Shared.acquire(State, scaleConfig(RefillBatchMax));
   {
     auto M = RT.attachMutator();
     uint64_t I = 0;
@@ -92,7 +90,7 @@ void allocChurn(benchmark::State &State, uint32_t Shards,
     while (State.KeepRunningBatch(BatchIters)) {
       M->exitBlocked();
       for (uint64_t J = 0; J < BatchIters; ++J) {
-        // Three size classes so refills hit several shard rows; objects
+        // Three size classes so refills hit several central lists; objects
         // are dropped immediately — the young trigger recycles them.
         uint32_t Bytes = I % 3 == 0 ? 16 : (I % 3 == 1 ? 48 : 256);
         ObjectRef Ref = M->allocate(1, Bytes);
@@ -108,11 +106,10 @@ void allocChurn(benchmark::State &State, uint32_t Shards,
   Shared.release(State);
 }
 
-BENCHMARK_CAPTURE(allocChurn, sharded, /*Shards=*/8u, /*RefillBatchMax=*/8u)
+BENCHMARK_CAPTURE(allocChurn, batched, /*RefillBatchMax=*/8u)
     ->ThreadRange(1, 256)
     ->UseRealTime();
-BENCHMARK_CAPTURE(allocChurn, single_shard, /*Shards=*/1u,
-                  /*RefillBatchMax=*/1u)
+BENCHMARK_CAPTURE(allocChurn, unbatched, /*RefillBatchMax=*/1u)
     ->ThreadRange(1, 256)
     ->UseRealTime();
 

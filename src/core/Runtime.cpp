@@ -28,11 +28,6 @@ std::string RuntimeConfig::validate() const {
   if (Heap.ChainCells == 0)
     return "ChainCells must be positive (free memory moves in chains)";
 
-  // Central free-list sharding.  Shard indices must fit the per-block
-  // HomeShard byte and the power-of-two mask arithmetic.
-  if (Heap.AllocShards != 0 &&
-      (!isPowerOf2(uint64_t(Heap.AllocShards)) || Heap.AllocShards > 256))
-    return "AllocShards must be 0 (auto) or a power of two in [1, 256]";
   if (Heap.RefillBatchMax < 1)
     return "RefillBatchMax must be at least 1 (1 disables batched refill)";
 
@@ -168,10 +163,8 @@ MetricsSnapshot Runtime::metrics() const {
   M.HandshakeNanos = HistogramSnapshot::of(Obs.handshakeHistogram());
   M.RequestNanos = HistogramSnapshot::of(Obs.requestHistogram());
   M.AllocRefills = TheHeap.refillCount();
-  M.AllocRefillSteals = TheHeap.refillStealCount();
   M.AllocCarveFallbacks = TheHeap.carveFallbackCount();
-  M.AllocShardContentions = TheHeap.shardContentionCount();
-  M.AllocShardCount = TheHeap.allocShards();
+  M.AllocShardContentions = TheHeap.listContentionCount();
   const TraceSegmentPool &SegPool = Gc->traceEngine().segmentPool();
   M.TraceSegmentsAllocated = SegPool.allocatedSegments();
   M.TraceSegmentsPooled = SegPool.pooledSegments();

@@ -389,7 +389,7 @@ CycleStats Collector::runCycle(CycleRequest Kind) {
 
   std::vector<CyclePhase> Phases;
   // The residue of the previous publish must drain before this cycle's
-  // color toggle, so the phase goes first.  It contends only on shard and
+  // color toggle, so the phase goes first.  It contends only on list and
   // stash mutexes, so it runs before the world stops, too.
   if (lazySweep())
     Phases.push_back(residuePhase());

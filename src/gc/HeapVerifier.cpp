@@ -140,20 +140,19 @@ void HeapVerifier::verifyFreeLists(Report &R) const {
   // Deferred-sweep suspects: a central chain whose cells sit in an unswept
   // (needs-sweep/sweeping) block violates the lazy-sweep invariant — such
   // cells must be parked in the block's stash, never claimable.  The walk
-  // runs under the shard mutex, where a racing publish (which drains the
-  // central lists to stashes under the same mutexes) may not have reached
-  // this shard yet; record suspects here and confirm them after every lock
-  // is released, so confirmViolation never sleeps holding a shard mutex.
+  // runs under the class list's mutex, where a racing publish (which drains
+  // the central lists to stashes under the same mutexes) may not have
+  // reached this class yet; record suspects here and confirm them after
+  // every lock is released, so confirmViolation never sleeps holding a
+  // list mutex.
   struct Suspect {
     unsigned ClassIdx;
-    unsigned Shard;
     ObjectRef ChainHead;
     uint32_t BlockIdx;
   };
   std::vector<Suspect> Suspects;
 
-  H.forEachFreeChain([&](unsigned ClassIdx, unsigned Shard,
-                         const Heap::CellChain &Chain) {
+  H.forEachFreeChain([&](unsigned ClassIdx, const Heap::CellChain &Chain) {
     uint32_t CellBytes = sizeClassBytes(ClassIdx);
     uint32_t Walked = 0;
     for (ObjectRef Cell = Chain.Head; Cell != NullRef;
@@ -180,7 +179,7 @@ void HeapVerifier::verifyFreeLists(Report &R) const {
       ++R.ChecksRun;
       if (Desc.Sweep.load(std::memory_order_acquire) !=
           uint8_t(BlockSweep::Swept))
-        Suspects.push_back({ClassIdx, Shard, Chain.Head, BlockIdx});
+        Suspects.push_back({ClassIdx, Chain.Head, BlockIdx});
       if (H.loadColor(Cell) != Color::Blue)
         addViolation(R, format("class %u: free cell %llx is %s, not blue",
                                ClassIdx, (unsigned long long)Cell,
@@ -199,14 +198,13 @@ void HeapVerifier::verifyFreeLists(Report &R) const {
     // is still unswept — a publish mid-drain or a sweep mid-deposit clears
     // one side or the other within a few rounds.
     if (confirmViolation([&] {
-          return H.freeChainParked(S.ClassIdx, S.Shard, S.ChainHead) &&
+          return H.freeChainParked(S.ClassIdx, S.ChainHead) &&
                  H.block(S.BlockIdx).Sweep.load(std::memory_order_acquire) !=
                      uint8_t(BlockSweep::Swept);
         }))
-      addViolation(R, format("class %u shard %u: central free chain %llx "
-                             "holds cells of unswept block %u",
-                             S.ClassIdx, S.Shard,
-                             (unsigned long long)S.ChainHead,
+      addViolation(R, format("class %u: central free chain %llx holds "
+                             "cells of unswept block %u",
+                             S.ClassIdx, (unsigned long long)S.ChainHead,
                              unsigned(S.BlockIdx)));
 }
 

@@ -57,8 +57,7 @@ LazySweepEngine::PublishResult LazySweepEngine::publish() {
   return P;
 }
 
-void LazySweepEngine::sweepClaimed(uint32_t BlockIdx, unsigned DepositShard,
-                                   bool MutatorContext) {
+void LazySweepEngine::sweepClaimed(uint32_t BlockIdx, bool MutatorContext) {
   const BlockDescriptor &Desc = H.block(BlockIdx);
   unsigned ClassIdx = Desc.SizeClassIdx;
 
@@ -75,21 +74,20 @@ void LazySweepEngine::sweepClaimed(uint32_t BlockIdx, unsigned DepositShard,
   H.markBlockSwept(BlockIdx);
   std::vector<Heap::CellChain> Stash = H.takePendingStash(BlockIdx);
   for (const Heap::CellChain &Chain : Freed)
-    H.pushFreeChain(ClassIdx, Chain, DepositShard);
+    H.pushFreeChain(ClassIdx, Chain);
   for (const Heap::CellChain &Chain : Stash)
-    H.repushFreeChain(ClassIdx, Chain, DepositShard);
+    H.repushFreeChain(ClassIdx, Chain);
   H.finishBlockSweep(MutatorContext);
 
   std::scoped_lock Locked(ResultMutex);
   Accum.merge(R);
 }
 
-bool LazySweepEngine::sweepOneBlockFor(unsigned ClassIdx,
-                                       unsigned DepositShard) {
+bool LazySweepEngine::sweepOneBlockFor(unsigned ClassIdx) {
   uint32_t BlockIdx = H.claimNeedsSweepBlock(ClassIdx);
   if (BlockIdx == 0)
     return false;
-  sweepClaimed(BlockIdx, DepositShard, /*MutatorContext=*/true);
+  sweepClaimed(BlockIdx, /*MutatorContext=*/true);
   return true;
 }
 
@@ -107,10 +105,7 @@ uint64_t LazySweepEngine::sweepSome(uint64_t MaxBlocks) {
     uint32_t BlockIdx = claimAny();
     if (BlockIdx == 0)
       break;
-    // Residue sweeps deposit into the block's own home shard, like the
-    // eager sweep did.
-    sweepClaimed(BlockIdx, H.block(BlockIdx).HomeShard,
-                 /*MutatorContext=*/false);
+    sweepClaimed(BlockIdx, /*MutatorContext=*/false);
     ++Swept;
   }
   if (Swept && Obs) {
@@ -129,7 +124,7 @@ uint64_t LazySweepEngine::drainResidue() {
   // counts it in sweepingBlockCount() in one critical section, so once
   // sweepSome has found every stack empty the count covers every claim.
   // The claimant never blocks on the collector (the sweep path takes only
-  // shard/stash mutexes), so this terminates.
+  // list/stash mutexes), so this terminates.
   Backoff Back(/*InitialNanos=*/1000, /*CapNanos=*/100'000);
   while (H.sweepingBlockCount() != 0)
     Back.pause();

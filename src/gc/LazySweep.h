@@ -13,11 +13,11 @@
 /// are pushed onto per-class claim stacks.  From then on reclamation is
 /// demand-driven:
 ///
-///  - a mutator whose cache refill finds every shard dry claims a block of
-///    the class it needs (Heap::popFreeChains calls sweepOneBlockFor through
-///    the Heap::LazySweeper hook) and sweeps it inline — the sweep is the
-///    same per-cell CAS loop as the eager sweep, so late mutator shading
-///    races freeing exactly as before;
+///  - a mutator whose cache refill finds its class's central list empty
+///    claims a block of that class (Heap::popFreeChains calls
+///    sweepOneBlockFor through the Heap::LazySweeper hook) and sweeps it
+///    inline — the sweep is the same per-cell CAS loop as the eager sweep,
+///    so late mutator shading races freeing exactly as before;
 ///
 ///  - the collector drains the residue nobody claimed: a few blocks per
 ///    idle poll tick (sweepSome) so reclamation terminates on idle heaps,
@@ -58,8 +58,8 @@ public:
   PublishResult publish();
 
   /// Heap::LazySweeper: claims and sweeps one block of \p ClassIdx from a
-  /// mutator's refill, depositing into shard \p DepositShard.
-  bool sweepOneBlockFor(unsigned ClassIdx, unsigned DepositShard) override;
+  /// mutator's refill.
+  bool sweepOneBlockFor(unsigned ClassIdx) override;
 
   /// Collector side, idle drip: sweeps up to \p MaxBlocks residue blocks
   /// (any class).  Returns how many were swept.
@@ -77,9 +77,9 @@ public:
 
 private:
   /// Sweeps already-claimed block \p BlockIdx and deposits its cells into
-  /// shard \p DepositShard, honoring the markSwept-before-deposit protocol.
-  void sweepClaimed(uint32_t BlockIdx, unsigned DepositShard,
-                    bool MutatorContext);
+  /// its class's central list, honoring the markSwept-before-deposit
+  /// protocol.
+  void sweepClaimed(uint32_t BlockIdx, bool MutatorContext);
 
   /// Claims a residue block of any class; 0 when none remains.
   uint32_t claimAny();

@@ -81,7 +81,6 @@ void Sweeper::sweepBlockRange(SweepMode Mode, uint8_t OldestAge,
   PageTouchTracker &Pages = H.pages();
   Color Clear = State.clearColor();
   Color Alloc = State.allocationColor();
-  ensureChains();
 
   for (size_t BlockIdx = BlockBegin; BlockIdx != BlockEnd; ++BlockIdx) {
     const BlockDescriptor &Desc = H.block(BlockIdx);
@@ -109,16 +108,14 @@ void Sweeper::sweepBlockRange(SweepMode Mode, uint8_t OldestAge,
       continue;
 
     unsigned ClassIdx = Desc.SizeClassIdx;
-    // Freed cells return to the shard that carved this block, so the
-    // mutators hashed there get their recently-touched memory back.
-    Heap::CellChain &Chain = chainFor(ClassIdx, Desc.HomeShard);
+    Heap::CellChain &Chain = Chains[ClassIdx];
     Pages.touchRange(Region::ColorTable, Base >> GranuleShift,
                      Heap::BlockBytes >> GranuleShift);
     sweepCells(Mode, OldestAge, Desc, Base, R, [&](ObjectRef Ref) {
       H.setChainNext(Ref, Chain.Head);
       Chain.Head = Ref;
       if (++Chain.Count == H.config().ChainCells) {
-        H.pushFreeChain(ClassIdx, Chain, Desc.HomeShard);
+        H.pushFreeChain(ClassIdx, Chain);
         Chain = Heap::CellChain();
       }
     });
@@ -149,17 +146,9 @@ void Sweeper::sweepClaimedBlock(SweepMode Mode, uint8_t OldestAge,
 }
 
 void Sweeper::flushChains() {
-  if (Chains.empty())
-    return;
-  unsigned Shards = H.allocShards();
   for (unsigned ClassIdx = 0; ClassIdx < NumSizeClasses; ++ClassIdx) {
-    for (unsigned Shard = 0; Shard < Shards; ++Shard) {
-      Heap::CellChain &Chain = chainFor(ClassIdx, Shard);
-      if (Chain.Count != 0) {
-        H.pushFreeChain(ClassIdx, Chain, Shard);
-        Chain = Heap::CellChain();
-      }
-    }
+    H.pushFreeChain(ClassIdx, Chains[ClassIdx]);
+    Chains[ClassIdx] = Heap::CellChain();
   }
 }
 

@@ -47,9 +47,7 @@ namespace gengc {
 
 /// One sweep engine per worker: each lane of sweepParallel (the collector's
 /// eager sweep) drives its own Sweeper over the block ranges it claims, and
-/// the lazy-sweep path constructs one transiently per claimed block
-/// (construction is free: the per-shard chain table is only materialized
-/// by the range API).
+/// the lazy-sweep path constructs one transiently per claimed block.
 class Sweeper {
 public:
   struct Result {
@@ -99,8 +97,7 @@ public:
   void sweepClaimedBlock(SweepMode Mode, uint8_t OldestAge, uint32_t BlockIdx,
                          Result &R, std::vector<Heap::CellChain> &Out);
 
-  /// Returns all pending chains to the heap's central lists, each to the
-  /// shard of the block it came from.
+  /// Returns all pending chains to the heap's central lists.
   void flushChains();
 
 private:
@@ -117,25 +114,11 @@ private:
                   const BlockDescriptor &Desc, uint64_t Base, Result &R,
                   FreeCellFn OnFreed);
 
-  /// Materializes the (class, shard) chain table on first range use, so
-  /// constructing a Sweeper for a single claimed block stays free.
-  void ensureChains() {
-    if (Chains.empty())
-      Chains.resize(size_t(NumSizeClasses) * H.allocShards());
-  }
-
   Heap &H;
   CollectorState &State;
-  /// Freed cells pending return to the central lists, one chain per
-  /// (size class, home shard) — freed cells go back to the shard that owns
-  /// their block (BlockDescriptor::HomeShard), keeping sweep-to-alloc
-  /// transfers with the mutators that populated the block.  Row-major by
-  /// class; flushed whenever a chain reaches the heap's batch size.
-  std::vector<Heap::CellChain> Chains;
-
-  Heap::CellChain &chainFor(unsigned ClassIdx, unsigned Shard) {
-    return Chains[size_t(ClassIdx) * H.allocShards() + Shard];
-  }
+  /// Freed cells pending return to the central lists, one chain per size
+  /// class; pushed whenever a chain reaches the heap's ChainCells.
+  Heap::CellChain Chains[NumSizeClasses];
 };
 
 /// A parallel sweep's merged result plus per-lane accounting.

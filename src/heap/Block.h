@@ -80,12 +80,6 @@ struct BlockDescriptor {
   /// Block index of the run's first block (State == LargeCont).
   uint32_t RunStart = 0;
 
-  /// Home shard of this block's cells (State == SizeClass): the central-
-  /// list shard carving deposited its chains into, and the shard sweep
-  /// returns freed cells to, so sweep-to-alloc transfers stay with the
-  /// mutators that populated the block.
-  uint8_t HomeShard = 0;
-
   /// Lazy-sweep state (BlockSweep values, stored as the raw byte).
   /// Transitions: Swept -> NeedsSweep (collector publish, release store
   /// after SweepEpoch), NeedsSweep -> Sweeping (Heap::claimNeedsSweepBlock,

@@ -6,28 +6,9 @@
 
 #include "heap/Heap.h"
 
-#include <thread>
-
 #include "support/MathExtras.h"
 
 using namespace gengc;
-
-/// Resolves HeapConfig::AllocShards: 0 means "size from the machine",
-/// rounded up to a power of two and capped so HomeShard fits its byte.
-static unsigned resolveShardCount(uint32_t Configured) {
-  if (Configured != 0) {
-    GENGC_ASSERT(isPowerOf2(uint64_t(Configured)) && Configured <= 256,
-                 "AllocShards must be a power of two in [1, 256]");
-    return Configured;
-  }
-  unsigned Cores = std::thread::hardware_concurrency();
-  if (Cores < 2)
-    return 1;
-  unsigned Shards = 1;
-  while (Shards < Cores && Shards < 64)
-    Shards <<= 1;
-  return Shards;
-}
 
 Heap::Heap(const HeapConfig &Config)
     : Config(Config), Arena(new std::atomic<uint32_t>[Config.HeapBytes >> 2]),
@@ -40,11 +21,6 @@ Heap::Heap(const HeapConfig &Config)
   GENGC_ASSERT((Config.HeapBytes & (BlockBytes - 1)) == 0,
                "heap size must be a multiple of the block size");
 
-  NumShards = resolveShardCount(Config.AllocShards);
-  ShardShift = 64;
-  for (unsigned S = NumShards; S > 1; S >>= 1)
-    --ShardShift;
-  Shards.reset(new CentralShard[size_t(NumSizeClasses) * NumShards]);
   Stash.reset(new std::vector<CellChain>[Blocks.size()]);
 
   // Block 0 is reserved so that arena offset 0 can act as the null
@@ -68,10 +44,10 @@ Heap::Heap(const HeapConfig &Config)
 Heap::~Heap() = default;
 
 //===----------------------------------------------------------------------===//
-// Sharded central free lists.
+// Central free lists.
 //===----------------------------------------------------------------------===//
 
-bool Heap::carveBlock(unsigned ClassIdx, unsigned HomeShard) {
+bool Heap::carveBlock(unsigned ClassIdx) {
   std::unique_lock Locked(BlockMutex);
   if (FreeBlocks.empty())
     return false;
@@ -86,118 +62,91 @@ bool Heap::carveBlock(unsigned ClassIdx, unsigned HomeShard) {
   Desc.CellBytes = sizeClassBytes(ClassIdx);
   Desc.CellRecip = uint32_t(divideCeil(1ull << 32, Desc.CellBytes));
   Desc.NumCells = uint32_t(BlockBytes / Desc.CellBytes);
-  Desc.HomeShard = uint8_t(HomeShard);
   Desc.State.store(BlockState::SizeClass, std::memory_order_release);
   Locked.unlock();
 
   // Thread all cells into chains of at most ChainCells and queue them on
-  // the home shard (whose mutex the caller holds).
+  // the class's list (whose mutex the caller holds).
   uint64_t Base = uint64_t(BlockIdx) << BlockShift;
-  CentralShard &Sh = shard(ClassIdx, HomeShard);
+  std::vector<CellChain> &Chains = Lists[ClassIdx].Chains;
   CellChain Chain;
   for (uint32_t Cell = Desc.NumCells; Cell-- > 0;) {
     ObjectRef Ref = ObjectRef(Base + uint64_t(Cell) * Desc.CellBytes);
     setChainNext(Ref, Chain.Head);
     Chain.Head = Ref;
     if (++Chain.Count == Config.ChainCells) {
-      Sh.Chains.push_back(Chain);
+      Chains.push_back(Chain);
       Chain = CellChain();
     }
   }
   if (Chain.Count != 0)
-    Sh.Chains.push_back(Chain);
+    Chains.push_back(Chain);
   return true;
 }
 
-Heap::CellChain Heap::popFreeChain(unsigned ClassIdx, unsigned HomeShard) {
+Heap::CellChain Heap::popFreeChain(unsigned ClassIdx) {
   CellChain Chain;
-  popFreeChains(ClassIdx, HomeShard, 1, &Chain);
+  popFreeChains(ClassIdx, 1, &Chain);
   return Chain;
 }
 
-unsigned Heap::popFreeChains(unsigned ClassIdx, unsigned HomeShard,
-                             unsigned MaxChains, CellChain *Out,
-                             RefillStats *Stats) {
+unsigned Heap::popFreeChains(unsigned ClassIdx, unsigned MaxChains,
+                             CellChain *Out, RefillStats *Stats) {
   GENGC_ASSERT(ClassIdx < NumSizeClasses, "size class out of range");
-  GENGC_ASSERT(HomeShard < NumShards && MaxChains >= 1,
-               "refill shard/batch out of range");
+  GENGC_ASSERT(MaxChains >= 1, "refill batch out of range");
+  CentralList &List = Lists[ClassIdx];
   unsigned Taken = 0;
 
-  // Takes up to MaxChains - Taken chains from the back of Sh's inventory.
-  // The shard's mutex must be held.
-  auto TakeLocked = [&](CentralShard &Sh, unsigned Limit) {
-    while (Taken < Limit && !Sh.Chains.empty()) {
-      Out[Taken++] = Sh.Chains.back();
-      Sh.Chains.pop_back();
+  // Takes up to MaxChains chains from the back of the list, whose mutex
+  // must be held.
+  auto TakeLocked = [&] {
+    while (Taken < MaxChains && !List.Chains.empty()) {
+      Out[Taken++] = List.Chains.back();
+      List.Chains.pop_back();
     }
   };
 
   {
-    CentralShard &Home = shard(ClassIdx, HomeShard);
-    std::unique_lock Locked(Home.Mutex, std::try_to_lock);
+    std::unique_lock Locked(List.Mutex, std::try_to_lock);
     if (!Locked.owns_lock()) {
       if (Stats)
         Stats->Contended = true;
       Contentions.fetch_add(1, std::memory_order_relaxed);
       Locked.lock();
     }
-    TakeLocked(Home, MaxChains);
-  }
-
-  if (Taken == 0 && NumShards > 1) {
-    // Home shard dry: probe the neighbors in ring order.  Bounded steal —
-    // at most half a victim's inventory — so a refill storm from one dry
-    // shard cannot strip a busy neighbor bare.
-    for (unsigned Offset = 1; Offset < NumShards && Taken == 0; ++Offset) {
-      unsigned Victim = (HomeShard + Offset) & (NumShards - 1);
-      CentralShard &Sh = shard(ClassIdx, Victim);
-      std::scoped_lock Locked(Sh.Mutex);
-      if (Stats)
-        ++Stats->ShardsProbed;
-      unsigned Budget = unsigned(Sh.Chains.size() + 1) / 2;
-      TakeLocked(Sh, std::min(MaxChains, std::max(Budget, 1u)));
-      if (Taken != 0 && Stats)
-        Stats->StolenFrom = int32_t(Victim);
-    }
-    if (Taken != 0)
-      Steals.fetch_add(1, std::memory_order_relaxed);
+    TakeLocked();
   }
 
   if (Taken == 0) {
     // Lazy sweep: before growing the heap's footprint, reclaim a block the
     // last cycle published as needs-sweep.  The engine deposits the block's
-    // freed cells into the caller's home shard, where the re-take below is
-    // the first to look; a swept block can still yield nothing (every cell
+    // freed cells into the class's list, where the re-take below is the
+    // first to look; a swept block can still yield nothing (every cell
     // live, or a racing refill took the deposit), so keep claiming until
     // chains appear or the class's needs-sweep stock is dry.  Exhaustion —
     // returning 0 below — is therefore only declared once lazy reclamation
     // has nothing left either.
     if (LazySweeper *Lazy = LazyHook.load(std::memory_order_acquire)) {
-      while (Taken == 0 && Lazy->sweepOneBlockFor(ClassIdx, HomeShard)) {
+      while (Taken == 0 && Lazy->sweepOneBlockFor(ClassIdx)) {
         if (Stats)
           ++Stats->LazySwept;
-        CentralShard &Home = shard(ClassIdx, HomeShard);
-        std::scoped_lock Locked(Home.Mutex);
-        TakeLocked(Home, MaxChains);
+        std::scoped_lock Locked(List.Mutex);
+        TakeLocked();
       }
     }
   }
 
   if (Taken == 0) {
-    // Every shard is empty: carve a fresh block into the home shard.  The
-    // shard lock is re-taken first and the inventory re-checked, so two
-    // racing refills of the same shard carve at most one block between
-    // them.
-    CentralShard &Home = shard(ClassIdx, HomeShard);
-    std::scoped_lock Locked(Home.Mutex);
-    if (Home.Chains.empty()) {
-      if (!carveBlock(ClassIdx, HomeShard))
+    // The list is empty: carve a fresh block into it.  The list lock is
+    // re-taken first and the inventory re-checked, so two racing refills
+    // of the same class carve at most one block between them.
+    std::scoped_lock Locked(List.Mutex);
+    if (List.Chains.empty()) {
+      if (!carveBlock(ClassIdx))
         return 0;
       Carves.fetch_add(1, std::memory_order_relaxed);
-      if (Stats)
-        Stats->Carved = true;
     }
-    TakeLocked(Home, MaxChains);
+    TakeLocked();
   }
 
   uint64_t Cells = 0;
@@ -210,10 +159,8 @@ unsigned Heap::popFreeChains(unsigned ClassIdx, unsigned HomeShard,
   return Taken;
 }
 
-void Heap::pushFreeChain(unsigned ClassIdx, CellChain Chain,
-                         unsigned HomeShard) {
+void Heap::pushFreeChain(unsigned ClassIdx, CellChain Chain) {
   GENGC_ASSERT(ClassIdx < NumSizeClasses, "size class out of range");
-  GENGC_ASSERT(HomeShard < NumShards, "shard out of range");
   if (Chain.Count == 0)
     return;
   uint64_t Bytes = uint64_t(Chain.Count) * sizeClassBytes(ClassIdx);
@@ -241,9 +188,9 @@ void Heap::pushFreeChain(unsigned ClassIdx, CellChain Chain,
     }
   }
   {
-    CentralShard &Sh = shard(ClassIdx, HomeShard);
-    std::scoped_lock Locked(Sh.Mutex);
-    Sh.Chains.push_back(Chain);
+    CentralList &List = Lists[ClassIdx];
+    std::scoped_lock Locked(List.Mutex);
+    List.Chains.push_back(Chain);
   }
   // UsedBytes can transiently underflow-race with popFreeChains only in the
   // sense of ordinary relaxed-counter imprecision; totals stay consistent.
@@ -312,24 +259,21 @@ void Heap::finishBlockSweep(bool MutatorContext) {
 }
 
 void Heap::drainFreeListsToStashes() {
-  for (unsigned ClassIdx = 0; ClassIdx < NumSizeClasses; ++ClassIdx) {
-    for (unsigned S = 0; S < NumShards; ++S) {
-      CentralShard &Sh = shard(ClassIdx, S);
-      std::scoped_lock Locked(Sh.Mutex);
-      size_t Keep = 0;
-      for (size_t I = 0; I < Sh.Chains.size(); ++I) {
-        CellChain Chain = Sh.Chains[I];
-        uint32_t BlockIdx = blockIndexOf(Chain.Head);
-        if (Blocks[BlockIdx].Sweep.load(std::memory_order_acquire) !=
-            uint8_t(BlockSweep::Swept)) {
-          std::scoped_lock StashLocked(StashMutex);
-          Stash[BlockIdx].push_back(Chain);
-        } else {
-          Sh.Chains[Keep++] = Chain;
-        }
+  for (CentralList &List : Lists) {
+    std::scoped_lock Locked(List.Mutex);
+    size_t Keep = 0;
+    for (size_t I = 0; I < List.Chains.size(); ++I) {
+      CellChain Chain = List.Chains[I];
+      uint32_t BlockIdx = blockIndexOf(Chain.Head);
+      if (Blocks[BlockIdx].Sweep.load(std::memory_order_acquire) !=
+          uint8_t(BlockSweep::Swept)) {
+        std::scoped_lock StashLocked(StashMutex);
+        Stash[BlockIdx].push_back(Chain);
+      } else {
+        List.Chains[Keep++] = Chain;
       }
-      Sh.Chains.resize(Keep);
     }
+    List.Chains.resize(Keep);
   }
 }
 
@@ -340,22 +284,19 @@ std::vector<Heap::CellChain> Heap::takePendingStash(uint32_t BlockIdx) {
   return Taken;
 }
 
-void Heap::repushFreeChain(unsigned ClassIdx, CellChain Chain,
-                           unsigned HomeShard) {
-  GENGC_ASSERT(ClassIdx < NumSizeClasses && HomeShard < NumShards,
-               "repush shard/class out of range");
+void Heap::repushFreeChain(unsigned ClassIdx, CellChain Chain) {
+  GENGC_ASSERT(ClassIdx < NumSizeClasses, "size class out of range");
   if (Chain.Count == 0)
     return;
-  CentralShard &Sh = shard(ClassIdx, HomeShard);
-  std::scoped_lock Locked(Sh.Mutex);
-  Sh.Chains.push_back(Chain);
+  CentralList &List = Lists[ClassIdx];
+  std::scoped_lock Locked(List.Mutex);
+  List.Chains.push_back(Chain);
 }
 
-bool Heap::freeChainParked(unsigned ClassIdx, unsigned Shard,
-                           ObjectRef Head) const {
-  const CentralShard &Sh = shard(ClassIdx, Shard);
-  std::scoped_lock Locked(Sh.Mutex);
-  for (const CellChain &Chain : Sh.Chains)
+bool Heap::freeChainParked(unsigned ClassIdx, ObjectRef Head) const {
+  const CentralList &List = Lists[ClassIdx];
+  std::scoped_lock Locked(List.Mutex);
+  for (const CellChain &Chain : List.Chains)
     if (Chain.Head == Head)
       return true;
   return false;

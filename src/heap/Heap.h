@@ -64,17 +64,10 @@ struct HeapConfig {
   /// allocation cache.  Bounds how much memory an idle thread can hoard.
   uint32_t ChainCells = 256;
 
-  /// Number of central free-list shards per size class; a power of two, or
-  /// 0 to size from the hardware concurrency (rounded up to a power of
-  /// two, capped at 64).  Mutators hash to a home shard and steal from
-  /// neighbors when it runs dry, so thread-cache refills of independent
-  /// threads stop funneling through one mutex.  1 shard behaves as a
-  /// single central list.
-  uint32_t AllocShards = 0;
-
   /// Upper bound on the chains a thread-cache refill may transfer under
-  /// one shard-lock acquisition.  The per-mutator batch size adapts within
-  /// [1, RefillBatchMax] from refill frequency; 1 disables batching.
+  /// one acquisition of its size class's list lock.  The per-mutator batch
+  /// size adapts within [1, RefillBatchMax] from refill frequency; 1
+  /// disables batching.
   uint32_t RefillBatchMax = 8;
 };
 
@@ -88,10 +81,10 @@ public:
   virtual ~LazySweeper() = default;
 
   /// Claims one needs-sweep block of \p ClassIdx, sweeps it, and deposits
-  /// the reclaimed cell chains into central shard \p DepositShard — where
-  /// the calling refill is about to look.  Returns false when no
-  /// needs-sweep block of the class remains.
-  virtual bool sweepOneBlockFor(unsigned ClassIdx, unsigned DepositShard) = 0;
+  /// the reclaimed cell chains into the class's central list — where the
+  /// calling refill is about to look.  Returns false when no needs-sweep
+  /// block of the class remains.
+  virtual bool sweepOneBlockFor(unsigned ClassIdx) = 0;
 };
 
 /// The arena plus its side tables and free-memory bookkeeping.
@@ -195,61 +188,38 @@ public:
   PageTouchTracker &pages() { return Pages; }
 
   //===--------------------------------------------------------------------===
-  // Allocation and reclamation.  The central free lists are sharded: each
-  // size class owns allocShards() independent chain inventories, each
-  // behind its own mutex.  A refill serves from the caller's home shard,
-  // steals from neighbors when the home shard is dry, and falls back to
-  // carving a fresh block (popped from the free-block stack under
-  // BlockMutex) when every shard is empty — so exhaustion is only declared
-  // after probing the whole heap.
+  // Allocation and reclamation.  Each size class owns one central free
+  // list: a vector of chains behind one mutex.  A refill takes chains from
+  // its class's list and falls back to carving a fresh block (popped from
+  // the free-block stack under BlockMutex) when the list is empty — so
+  // exhaustion is only declared once no free block remains either.
   //===--------------------------------------------------------------------===
-
-  /// Number of central-list shards per size class (a power of two).
-  unsigned allocShards() const { return NumShards; }
-
-  /// Home shard for the actor with stable id \p Id (Fibonacci hash, so
-  /// consecutive registration ids spread across shards).
-  unsigned homeShardFor(uint64_t Id) const {
-    return NumShards == 1
-               ? 0
-               : unsigned((Id * 0x9E3779B97F4A7C15ull) >> ShardShift);
-  }
 
   /// What a popFreeChains call had to do to find memory (observability;
   /// all fields describe this one call).
   struct RefillStats {
-    /// Shards probed beyond the home shard (0 when home served).
-    uint32_t ShardsProbed = 0;
-    /// Shard the chains actually came from when it was not the home shard;
-    /// -1 otherwise.
-    int32_t StolenFrom = -1;
-    /// A fresh block was carved because every shard was empty.
-    bool Carved = false;
-    /// The home shard's mutex was contended on entry.
+    /// The class list's mutex was contended on entry.
     bool Contended = false;
     /// Needs-sweep blocks claimed and swept inline by this refill (lazy
     /// sweep only).
     uint32_t LazySwept = 0;
   };
 
-  /// Pops one chain of free cells of size class \p ClassIdx, preferring
-  /// shard \p HomeShard.  Returns an empty chain only when every shard is
-  /// empty AND no free block remains (the caller is expected to wait for a
-  /// collection while cooperating with handshakes).
-  CellChain popFreeChain(unsigned ClassIdx, unsigned HomeShard = 0);
+  /// Pops one chain of free cells of size class \p ClassIdx.  Returns an
+  /// empty chain only when the class's list is empty AND no free block
+  /// remains (the caller is expected to wait for a collection while
+  /// cooperating with handshakes).
+  CellChain popFreeChain(unsigned ClassIdx);
 
-  /// Batched variant: pops up to \p MaxChains chains under a single shard
-  /// lock acquisition into \p Out, returning how many were taken.  Steals
-  /// take at most half of a victim shard's inventory (bounded steal), so a
-  /// dry home shard cannot drain a busy neighbor wholesale.
-  unsigned popFreeChains(unsigned ClassIdx, unsigned HomeShard,
-                         unsigned MaxChains, CellChain *Out,
-                         RefillStats *Stats = nullptr);
+  /// Batched variant: pops up to \p MaxChains chains under a single
+  /// acquisition of the class list's mutex into \p Out, returning how many
+  /// were taken.
+  unsigned popFreeChains(unsigned ClassIdx, unsigned MaxChains,
+                         CellChain *Out, RefillStats *Stats = nullptr);
 
-  /// Returns a chain of freed cells to shard \p HomeShard of \p ClassIdx
+  /// Returns a chain of freed cells to the central list of \p ClassIdx
   /// (sweep, or a thread draining its cache).  Cells must already be Blue.
-  void pushFreeChain(unsigned ClassIdx, CellChain Chain,
-                     unsigned HomeShard = 0);
+  void pushFreeChain(unsigned ClassIdx, CellChain Chain);
 
   /// Reads the next-link of free cell \p Cell in a chain.
   ObjectRef chainNext(ObjectRef Cell) const {
@@ -329,15 +299,14 @@ public:
   /// Takes (and empties) block \p BlockIdx's stash of parked chains.
   std::vector<CellChain> takePendingStash(uint32_t BlockIdx);
 
-  /// Re-deposits a stash chain into shard \p HomeShard of \p ClassIdx.
+  /// Re-deposits a stash chain into the central list of \p ClassIdx.
   /// Unlike pushFreeChain this does not touch UsedBytes: stashed cells
   /// were already uncharged when they first left circulation.
-  void repushFreeChain(unsigned ClassIdx, CellChain Chain, unsigned HomeShard);
+  void repushFreeChain(unsigned ClassIdx, CellChain Chain);
 
-  /// True if a chain with head \p Head is currently parked in shard
-  /// \p Shard of \p ClassIdx (verifier re-confirmation; takes the shard
-  /// mutex).
-  bool freeChainParked(unsigned ClassIdx, unsigned Shard, ObjectRef Head) const;
+  /// True if a chain with head \p Head is currently parked in the central
+  /// list of \p ClassIdx (verifier re-confirmation; takes the list mutex).
+  bool freeChainParked(unsigned ClassIdx, ObjectRef Head) const;
 
   /// Blocks currently published and unclaimed / currently claimed mid-sweep.
   uint64_t needsSweepBlockCount() const {
@@ -493,16 +462,13 @@ public:
   uint64_t refillCount() const {
     return Refills.load(std::memory_order_relaxed);
   }
-  /// Refills served by a non-home shard.
-  uint64_t refillStealCount() const {
-    return Steals.load(std::memory_order_relaxed);
-  }
-  /// Refills that carved a fresh block because every shard was empty.
+  /// Refills that carved a fresh block because their class's list was
+  /// empty.
   uint64_t carveFallbackCount() const {
     return Carves.load(std::memory_order_relaxed);
   }
-  /// Refills that found their home shard's mutex contended.
-  uint64_t shardContentionCount() const {
+  /// Refills that found their class list's mutex contended.
+  uint64_t listContentionCount() const {
     return Contentions.load(std::memory_order_relaxed);
   }
 
@@ -515,50 +481,40 @@ public:
   /// Runs \p Callback with BlockMutex held, freezing every block-state
   /// transition into or out of Free (carving, large-run placement and
   /// reclamation) for its duration.  The callback must not allocate from
-  /// this heap (lock order: shard mutexes come BEFORE BlockMutex — the carve
-  /// fallback holds its shard lock while it takes BlockMutex, and nothing
-  /// ever takes a shard lock while holding BlockMutex).
+  /// this heap (lock order: a class list's mutex comes BEFORE BlockMutex —
+  /// the carve fallback holds its list lock while it takes BlockMutex, and
+  /// nothing ever takes a list lock while holding BlockMutex).
   template <typename Fn> void withBlocksLocked(Fn Callback) const {
     std::scoped_lock Locked(BlockMutex);
     Callback();
   }
 
-  /// Runs \p Callback(ClassIdx, Shard, Chain) for every chain parked in
-  /// every shard of every size class's central free list, holding exactly
-  /// one shard mutex at a time — the shard owning the chains being visited.
-  /// Cell links may be chased through chainNext — a parked chain cannot
-  /// change while its shard is locked.  The callback must not touch the
-  /// lists themselves.
+  /// Runs \p Callback(ClassIdx, Chain) for every chain parked in every
+  /// size class's central free list, holding exactly one list mutex at a
+  /// time — the one owning the chains being visited.  Cell links may be
+  /// chased through chainNext — a parked chain cannot change while its
+  /// list is locked.  The callback must not touch the lists themselves.
   template <typename Fn> void forEachFreeChain(Fn Callback) const {
     for (unsigned ClassIdx = 0; ClassIdx < NumSizeClasses; ++ClassIdx) {
-      for (unsigned S = 0; S < NumShards; ++S) {
-        const CentralShard &Sh = shard(ClassIdx, S);
-        std::scoped_lock Locked(Sh.Mutex);
-        for (const CellChain &Chain : Sh.Chains)
-          Callback(ClassIdx, S, Chain);
-      }
+      const CentralList &List = Lists[ClassIdx];
+      std::scoped_lock Locked(List.Mutex);
+      for (const CellChain &Chain : List.Chains)
+        Callback(ClassIdx, Chain);
     }
   }
 
 private:
-  /// One shard of one size class's central free list.  Cache-line sized so
-  /// neighboring shards do not false-share their mutexes.
-  struct alignas(64) CentralShard {
+  /// One size class's central free list.  Cache-line sized so neighboring
+  /// classes do not false-share their mutexes.
+  struct alignas(64) CentralList {
     mutable std::mutex Mutex;
     std::vector<CellChain> Chains;
   };
 
-  CentralShard &shard(unsigned ClassIdx, unsigned S) {
-    return Shards[size_t(ClassIdx) * NumShards + S];
-  }
-  const CentralShard &shard(unsigned ClassIdx, unsigned S) const {
-    return Shards[size_t(ClassIdx) * NumShards + S];
-  }
-
   /// Pops a free block and publishes it as a block of \p ClassIdx under
-  /// BlockMutex, then threads its cells into chains on shard \p HomeShard
+  /// BlockMutex, then threads its cells into chains on the class's list
   /// (whose mutex the caller holds).  Returns false when no block is free.
-  bool carveBlock(unsigned ClassIdx, unsigned HomeShard);
+  bool carveBlock(unsigned ClassIdx);
 
   HeapConfig Config;
   std::unique_ptr<std::atomic<uint32_t>[]> Arena;
@@ -579,19 +535,14 @@ private:
   /// Exactly the Free blocks, as a stack whose top is carved next.
   std::vector<uint32_t> FreeBlocks;
 
-  /// Central free lists: NumSizeClasses * NumShards shards, row-major by
-  /// class (see shard()).
-  unsigned NumShards = 1;
-  /// 64 - log2(NumShards); homeShardFor's hash shift (unused at 1 shard).
-  unsigned ShardShift = 64;
-  std::unique_ptr<CentralShard[]> Shards;
+  /// The central free lists, one per size class.
+  CentralList Lists[NumSizeClasses];
 
   std::atomic<uint64_t> UsedBytes{0};
   std::atomic<uint64_t> AllocSinceGc{0};
   std::atomic<uint64_t> FreeBlockCount{0};
 
   std::atomic<uint64_t> Refills{0};
-  std::atomic<uint64_t> Steals{0};
   std::atomic<uint64_t> Carves{0};
   std::atomic<uint64_t> Contentions{0};
 
@@ -608,9 +559,9 @@ private:
   /// is pushed once per publish and popped by the claim that sweeps it.
   std::vector<uint32_t> NeedsSweepStacks[NumSizeClasses];
 
-  /// Guards every per-block stash in Stash.  Acquired after a shard mutex
-  /// (pushFreeChain routing, the publish drain) and never held across any
-  /// other lock acquisition.
+  /// Guards every per-block stash in Stash.  The publish drain takes it
+  /// inside a class list's mutex, pushFreeChain's routing alone; it is never
+  /// held across any other lock acquisition.
   mutable std::mutex StashMutex;
 
   /// Per-block stashes of chains parked centrally when the block was

@@ -53,10 +53,8 @@ const char *gengc::obsEventKindName(ObsEventKind Kind) {
     return "WatchdogFire";
   case ObsEventKind::VerifyPass:
     return "VerifyPass";
-  case ObsEventKind::RefillSteal:
-    return "RefillSteal";
-  case ObsEventKind::ShardContention:
-    return "ShardContention";
+  case ObsEventKind::ListContention:
+    return "ListContention";
   case ObsEventKind::SweepDeferred:
     return "SweepDeferred";
   case ObsEventKind::LazySweepClaim:

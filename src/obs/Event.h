@@ -88,22 +88,17 @@ enum class ObsEventKind : uint8_t {
   /// Instant, collector ring: a heap-verifier pass completed cleanly.
   /// Arg0 = VerifyScope, Arg1 = number of checks run.
   VerifyPass,
-  /// Instant, mutator ring: a cache refill's home shard was dry and the
-  /// chains came from a neighbor (or a carve).  Arg0 = shard the chains
-  /// came from (or the home shard when a fresh block was carved),
-  /// Arg1 = shards probed beyond the home shard.
-  RefillSteal,
-  /// Instant, mutator ring: a cache refill found its home shard's mutex
+  /// Instant, mutator ring: a cache refill found its class list's mutex
   /// contended (had to block behind another refill or a sweep flush).
-  /// Arg0 = size-class index, Arg1 = home shard.
-  ShardContention,
+  /// Arg0 = size-class index.
+  ListContention,
   /// Instant, collector ring: a PublishSweep phase deferred reclamation
   /// (SweepPolicy::Lazy).  Arg0 = size-class blocks published needs-sweep,
   /// Arg1 = the color-toggle epoch they were published under.
   SweepDeferred,
-  /// Instant, mutator ring: a cache refill found every shard dry and swept
-  /// published block(s) inline.  Arg0 = size-class index, Arg1 = blocks
-  /// swept by this refill.
+  /// Instant, mutator ring: a cache refill found its class list empty and
+  /// swept published block(s) inline.  Arg0 = size-class index, Arg1 =
+  /// blocks swept by this refill.
   LazySweepClaim,
   /// Span, collector ring: a residue pass (idle drip or the SweepResidue
   /// phase) swept blocks no mutator claimed.  Arg0 = blocks swept.

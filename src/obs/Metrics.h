@@ -49,17 +49,17 @@ struct MetricsSnapshot {
   uint64_t EventsWritten = 0;
   uint64_t EventsDropped = 0;
 
-  //===-- Allocation path (sharded central free lists) --------------------===
+  //===-- Allocation path (one central free list per size class) ----------===
   /// Central-list refills (popFreeChains calls that found memory).
   uint64_t AllocRefills = 0;
-  /// Refills served by a non-home shard (bounded steal-from-neighbor).
+  /// Always 0: every refill is served by its own class's list, so there is
+  /// no other list to steal from.  Kept because gcperf reports it.
   uint64_t AllocRefillSteals = 0;
-  /// Refills that carved a fresh block because every shard was empty.
+  /// Refills that carved a fresh block because their class's list was
+  /// empty.
   uint64_t AllocCarveFallbacks = 0;
-  /// Refills that found their home shard's mutex contended on entry.
+  /// Refills that found their class list's mutex contended on entry.
   uint64_t AllocShardContentions = 0;
-  /// Central free-list shards per size class (configuration gauge).
-  uint64_t AllocShardCount = 0;
 
   //===-- Trace engine (segmented gray stacks) ----------------------------===
   /// Segments stolen between trace lanes, summed over cycles.
@@ -188,9 +188,6 @@ struct MetricsSnapshot {
     AllocRefillSteals += Other.AllocRefillSteals;
     AllocCarveFallbacks += Other.AllocCarveFallbacks;
     AllocShardContentions += Other.AllocShardContentions;
-    AllocShardCount = AllocShardCount > Other.AllocShardCount
-                          ? AllocShardCount
-                          : Other.AllocShardCount;
     TraceSteals += Other.TraceSteals;
     TraceOffloads += Other.TraceOffloads;
     TraceSegmentsAcquired += Other.TraceSegmentsAcquired;

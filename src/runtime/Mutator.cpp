@@ -21,7 +21,6 @@ MemoryWaiter::~MemoryWaiter() = default;
 Mutator::Mutator(Heap &H, CollectorState &S, MutatorRegistry &Registry)
     : H(H), State(S), Registry(Registry) {
   Registry.add(*this); // assigns Id under the registry lock
-  HomeShard = H.homeShardFor(Id);
   for (unsigned Class = 0; Class < NumSizeClasses; ++Class)
     Batch[Class] = 1;
 }
@@ -29,13 +28,13 @@ Mutator::Mutator(Heap &H, CollectorState &S, MutatorRegistry &Registry)
 Mutator::~Mutator() {
   GENGC_ASSERT(Stack.empty(), "mutator exits with live local roots");
   // Return cached and spare cells so the memory is not stranded.  The cells
-  // are Blue and the transfer synchronizes through the shard mutex.
+  // are Blue and the transfer synchronizes through the class list's mutex.
   for (unsigned Class = 0; Class < NumSizeClasses; ++Class) {
     if (Cache[Class].Count != 0)
-      H.pushFreeChain(Class, Cache[Class], HomeShard);
+      H.pushFreeChain(Class, Cache[Class]);
     Cache[Class] = Heap::CellChain();
     while (SpareCount[Class] != 0)
-      H.pushFreeChain(Class, Spares[Class][--SpareCount[Class]], HomeShard);
+      H.pushFreeChain(Class, Spares[Class][--SpareCount[Class]]);
   }
   Registry.remove(*this);
 }
@@ -96,18 +95,18 @@ void Mutator::maybeThrottleAllocation() {
 void Mutator::flushLocalCaches(unsigned ExceptClass) {
   // Emergency rung: memory parked in this thread's caches is invisible to
   // every other allocator (and to ourselves for other size classes).
-  // Returning it — active chains and batched spares alike — to our home
-  // shard costs one mutex round per non-empty chain and can be the
+  // Returning it — active chains and batched spares alike — to the central
+  // lists costs one mutex round per non-empty chain and can be the
   // difference between recovery and abort when the heap is fragmented
-  // across caches.  A starved thread finds it there: every refill probes
-  // all shards (and the free-block stack) before reporting exhaustion.
+  // across caches.  A starved thread finds it there: every refill reads its
+  // class's list (and the free-block stack) before reporting exhaustion.
   for (unsigned Class = 0; Class < NumSizeClasses; ++Class) {
     if (Class != ExceptClass && Cache[Class].Count != 0) {
-      H.pushFreeChain(Class, Cache[Class], HomeShard);
+      H.pushFreeChain(Class, Cache[Class]);
       Cache[Class] = Heap::CellChain();
     }
     while (SpareCount[Class] != 0)
-      H.pushFreeChain(Class, Spares[Class][--SpareCount[Class]], HomeShard);
+      H.pushFreeChain(Class, Spares[Class][--SpareCount[Class]]);
   }
 }
 
@@ -203,7 +202,7 @@ bool Mutator::refillCache(unsigned ClassIdx, bool MayBlock) {
           return false;
         Heap::CellChain Chains[MaxRefillBatch];
         Heap::RefillStats Stats;
-        unsigned Got = H.popFreeChains(ClassIdx, HomeShard, B, Chains, &Stats);
+        unsigned Got = H.popFreeChains(ClassIdx, B, Chains, &Stats);
         if (Got == 0)
           return false;
         Cache[ClassIdx] = Chains[0];
@@ -214,14 +213,8 @@ bool Mutator::refillCache(unsigned ClassIdx, bool MayBlock) {
         }
         LastRefillCells[ClassIdx] = Cells;
         if (Ring) {
-          if (Stats.StolenFrom >= 0 || Stats.Carved)
-            Ring->instant(ObsEventKind::RefillSteal, nowNanos(),
-                          Stats.StolenFrom >= 0 ? uint64_t(Stats.StolenFrom)
-                                                : HomeShard,
-                          Stats.ShardsProbed);
           if (Stats.Contended)
-            Ring->instant(ObsEventKind::ShardContention, nowNanos(), ClassIdx,
-                          HomeShard);
+            Ring->instant(ObsEventKind::ListContention, nowNanos(), ClassIdx);
           if (Stats.LazySwept != 0)
             Ring->instant(ObsEventKind::LazySweepClaim, nowNanos(), ClassIdx,
                           Stats.LazySwept);

@@ -321,11 +321,10 @@ private:
                     const char *NoWaiterMsg, const char *ExhaustedMsg);
 
   /// Returns every thread-local chain — active cache AND parked spares —
-  /// except \p ExceptClass's cache to this mutator's home shard (the
-  /// emergency rung of the ladder).  Returning to the home shard keeps the
-  /// memory findable: a later refill probes the home shard first, then
-  /// every other shard, so flushed chains can never be stranded behind an
-  /// exhaustion verdict.
+  /// except \p ExceptClass's cache to the central lists (the emergency rung
+  /// of the ladder).  A later refill of the class reads its list before
+  /// carving or reporting exhaustion, so flushed chains can never be
+  /// stranded behind an exhaustion verdict.
   void flushLocalCaches(unsigned ExceptClass);
 
   Heap &H;
@@ -368,9 +367,8 @@ private:
   Heap::CellChain Cache[NumSizeClasses];
 
   /// Registration id (written by MutatorRegistry::add under its lock,
-  /// before this thread allocates) and the home shard derived from it.
+  /// before this thread allocates).
   uint64_t Id = 0;
-  unsigned HomeShard = 0;
 
   /// Compile-time ceiling on HeapConfig::RefillBatchMax (sizes Spares).
   static constexpr unsigned MaxRefillBatch = 16;

@@ -52,9 +52,7 @@ private:
   mutable std::mutex Mutex;
   std::vector<Mutator *> Mutators;
   /// Next registration id handed out by add().  Ids are stable for a
-  /// mutator's lifetime and never reused; the heap hashes them to home
-  /// shards (Heap::homeShardFor), so registration order — not thread
-  /// scheduling — decides shard placement.
+  /// mutator's lifetime and never reused.
   uint64_t NextId = 0;
 };
 

@@ -94,19 +94,14 @@ GcRunStats runWorkload(CollectorChoice Choice, bool Aging,
 }
 
 struct DeterminismParam {
-  DeterminismParam(CollectorChoice Choice, bool Aging, const char *Name)
-      : Choice(Choice), Aging(Aging), Name(Name) {}
-
   CollectorChoice Choice;
   bool Aging;
-  // gtest names each case after the raw bytes of its parameter, so the
-  // bytes between Aging and Name are spelled out and zeroed: as implicit
-  // padding they carried stack garbage into the test name.
-  uint8_t Padding[6] = {};
   const char *Name;
 };
-static_assert(sizeof(DeterminismParam) == 16,
-              "DeterminismParam has implicit padding");
+
+// gtest writes a parameter without a PrintTo into the test name as its raw
+// bytes, padding and pointers included, which change from build to build.
+void PrintTo(const DeterminismParam &P, std::ostream *OS) { *OS << P.Name; }
 
 class DeterminismTest : public ::testing::TestWithParam<DeterminismParam> {};
 
@@ -222,9 +217,9 @@ struct GoldenCycle {
 // The per-cycle counts of runWorkload at one lane under the eager sweep.
 // The other tests here compare runs with each other, so a change that
 // alters what *every* run collects passes them; this table catches it.
-// Re-record it only for a change meant to collect differently.  One
-// mutator hashes to allocation shard 0, so the counts do not depend on
-// the core count.
+// Re-record it only for a change meant to collect differently.  The heap
+// keeps one central free list per size class, so the counts do not depend
+// on the core count.
 constexpr CycleKind Partial = CycleKind::Partial;
 constexpr CycleKind Full = CycleKind::Full;
 constexpr CycleKind NonGen = CycleKind::NonGenerational;

@@ -116,16 +116,15 @@ TEST(LazySweep, PublishedBlocksClaimedExactlyOnce) {
   Sweeper Engine(H, RT.state());
   for (uint32_t Block : Unique) {
     unsigned ClassIdx = H.block(Block).SizeClassIdx;
-    unsigned Shard = H.block(Block).HomeShard;
     Sweeper::Result R;
     std::vector<Heap::CellChain> Freed;
     Engine.sweepClaimedBlock(SweepMode::NonGenerational, 0, Block, R, Freed);
     H.markBlockSwept(Block);
     std::vector<Heap::CellChain> Stash = H.takePendingStash(Block);
     for (const Heap::CellChain &Chain : Freed)
-      H.pushFreeChain(ClassIdx, Chain, Shard);
+      H.pushFreeChain(ClassIdx, Chain);
     for (const Heap::CellChain &Chain : Stash)
-      H.repushFreeChain(ClassIdx, Chain, Shard);
+      H.repushFreeChain(ClassIdx, Chain);
     H.finishBlockSweep(/*MutatorContext=*/false);
   }
   EXPECT_EQ(H.sweepingBlockCount(), 0u);
@@ -199,8 +198,8 @@ TEST(LazySweep, MutatorRefillSweepsPublishedBlocksInline) {
   RT.collector().collectSyncCooperating(CycleRequest::Full, *M);
   ASSERT_GT(H.needsSweepBlockCount(), 0u);
 
-  // Publish drained the central lists, so the next refills find every
-  // shard dry and must claim published blocks through the lazy hook.
+  // Publish drained the central lists, so the next refills find their
+  // class list empty and must claim published blocks through the lazy hook.
   uint64_t Before = H.lazyBlocksMutatorSwept();
   makeGarbage(*M, 4000);
   EXPECT_GT(H.lazyBlocksMutatorSwept(), Before);

@@ -148,7 +148,6 @@ TEST(HeapStress, CarvingRacesLargeRunPlacement) {
   constexpr unsigned Iterations = 20, Ops = 48;
   struct HeldChain {
     unsigned Class;
-    unsigned Shard;
     Heap::CellChain Chain;
   };
   struct HeldRun {
@@ -158,7 +157,6 @@ TEST(HeapStress, CarvingRacesLargeRunPlacement) {
   for (unsigned Iter = 0; Iter < Iterations; ++Iter) {
     HeapConfig Config;
     Config.HeapBytes = 64 * Heap::BlockBytes;
-    Config.AllocShards = 4;
     Heap H(Config);
 
     std::vector<HeldChain> Chains[2];
@@ -175,9 +173,9 @@ TEST(HeapStress, CarvingRacesLargeRunPlacement) {
         AwaitGo();
         for (unsigned I = 0; I < Ops; ++I) {
           unsigned Class = unsigned(Rand.nextBelow(NumSizeClasses));
-          Heap::CellChain Chain = H.popFreeChain(Class, T);
+          Heap::CellChain Chain = H.popFreeChain(Class);
           if (Chain.Count != 0)
-            Chains[T].push_back({Class, T, Chain});
+            Chains[T].push_back({Class, Chain});
         }
       });
     for (unsigned T = 0; T < 2; ++T)
@@ -232,7 +230,7 @@ TEST(HeapStress, CarvingRacesLargeRunPlacement) {
 
     for (const std::vector<HeldChain> &PerThread : Chains)
       for (const HeldChain &Held : PerThread)
-        H.pushFreeChain(Held.Class, Held.Chain, Held.Shard);
+        H.pushFreeChain(Held.Class, Held.Chain);
     for (const std::vector<HeldRun> &PerThread : Runs)
       for (const HeldRun &Run : PerThread)
         H.freeLargeRun(Run.Start);

@@ -94,6 +94,10 @@ struct StressParam {
   const char *Name;
 };
 
+// gtest writes a parameter without a PrintTo into the test name as its raw
+// bytes, padding and pointers included, which change from build to build.
+void PrintTo(const StressParam &P, std::ostream *OS) { *OS << P.Name; }
+
 class ConcurrentStressTest : public ::testing::TestWithParam<StressParam> {};
 
 TEST_P(ConcurrentStressTest, ReachableObjectsNeverReclaimed) {
