@@ -46,11 +46,14 @@ Collector::Collector(Heap &H, CollectorState &S, MutatorRegistry &Registry,
     this->Config.VerifyHeap = true;
     Verifier = std::make_unique<HeapVerifier>(H, S);
   }
-  // During-cycle allocation budget: the trigger fires around YoungBytes of
-  // allocation, so allowing another half generation during the cycle
-  // bounds occupancy carry-over at 1.5 young generations — comfortably
-  // inside the trigger's 3-generation headroom even when two consecutive
-  // cycles carry over (identical for both collectors).
+  // Allocation budget since the last completed cycle: the trigger fires
+  // around YoungBytes of allocation, so allowing another half generation
+  // before the cycle completes bounds occupancy carry-over at 1.5 young
+  // generations — comfortably inside the trigger's 3-generation headroom
+  // even when two consecutive cycles carry over (identical for both
+  // collectors).  Under the generational barriers the budget holds before
+  // the cycle starts too (CollectorState::allocationBudgetHolds), which
+  // covers a collector thread that wakes late.
   State.ThrottleBytes.store(Config.Trigger.YoungBytes +
                                 Config.Trigger.YoungBytes / 2,
                             std::memory_order_relaxed);
@@ -136,11 +139,15 @@ void Collector::start() {
   StopFlag.store(false, std::memory_order_relaxed);
   Thread = std::thread([this] { threadLoop(); });
   Running = true;
+  State.CollectorRunning.store(true, std::memory_order_relaxed);
 }
 
 void Collector::stop() {
   if (!Running)
     return;
+  // No triggered cycle starts once the thread sees StopFlag, so release
+  // the mutators stalled between cycles first.
+  State.CollectorRunning.store(false, std::memory_order_relaxed);
   {
     std::scoped_lock Locked(RequestMutex);
     StopFlag.store(true, std::memory_order_relaxed);

@@ -6,8 +6,10 @@
 ///
 /// \file
 /// A zero-initialized array of atomic bytes indexed by heap granule (16
-/// bytes).  The color table and the age table are instances; the card table
-/// builds on the same idea with a configurable granule (the card size).
+/// bytes), mapped from zero pages (support/ZeroedArray.h): an entry's page
+/// is committed when it is first touched.  The color table and the age
+/// table are instances; the card table builds on the same idea with a
+/// configurable granule (the card size).
 /// Section 6 of the paper explains why these tables are *byte* tables with
 /// no sharing: packing colors, ages and card marks into shared bytes would
 /// force compare-and-swap on every write barrier, which the authors measured
@@ -24,9 +26,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 
 #include "support/Assert.h"
+#include "support/ZeroedArray.h"
 
 namespace gengc {
 
@@ -34,11 +36,10 @@ namespace gengc {
 class AtomicByteTable {
 public:
   /// Creates a table covering \p CoveredBytes of address space with one
-  /// entry per 2^\p Shift bytes.  All entries start at zero: since C++20,
-  /// std::atomic's default constructor value-initializes its value.
+  /// entry per 2^\p Shift bytes.  All entries start at zero, and the
+  /// constructor writes none of them.
   AtomicByteTable(uint64_t CoveredBytes, unsigned Shift)
-      : Shift(Shift), NumEntries(CoveredBytes >> Shift),
-        Entries(new std::atomic<uint8_t>[NumEntries]) {
+      : Shift(Shift), NumEntries(CoveredBytes >> Shift), Entries(NumEntries) {
     GENGC_ASSERT((CoveredBytes & ((1ull << Shift) - 1)) == 0,
                  "covered size must be a multiple of the granule");
   }
@@ -107,7 +108,7 @@ public:
 #else
     uint64_t Word;
     std::memcpy(&Word,
-                reinterpret_cast<const unsigned char *>(Entries.get()) +
+                reinterpret_cast<const unsigned char *>(Entries.data()) +
                     WordIndex * WordEntries,
                 sizeof(Word));
     return Word;
@@ -208,12 +209,12 @@ public:
   }
 
   /// Base address of the entry array (for page-touch accounting).
-  const void *data() const { return Entries.get(); }
+  const void *data() const { return Entries.data(); }
 
 private:
   unsigned Shift;
   size_t NumEntries;
-  std::unique_ptr<std::atomic<uint8_t>[]> Entries;
+  ZeroedArray<std::atomic<uint8_t>> Entries;
 };
 
 } // namespace gengc

@@ -11,7 +11,7 @@
 using namespace gengc;
 
 Heap::Heap(const HeapConfig &Config)
-    : Config(Config), Arena(new std::atomic<uint32_t>[Config.HeapBytes >> 2]),
+    : Config(Config), Arena(Config.HeapBytes >> 2),
       Colors(Config.HeapBytes, GranuleShift),
       Remembered(Config.HeapBytes, GranuleShift),
       Cards(Config.HeapBytes, Config.CardBytes), Ages(Config.HeapBytes),

@@ -18,7 +18,11 @@
 ///    the runtime ("a thread-local allocation mechanism necessary to avoid
 ///    synchronization between threads during object allocation", Section 7);
 ///  - colors, ages and card marks live in dense side tables (one byte per
-///    16-byte granule / card), following the paper's locality argument.
+///    16-byte granule / card), following the paper's locality argument;
+///  - the arena and the side tables are mapped from zero pages
+///    (support/ZeroedArray.h), so construction writes nothing and resident
+///    memory grows with the blocks the program touches, as the paper's JVM
+///    grew its heap toward the 32 MB maximum.
 ///
 /// The heap knows nothing about object layout or the collector's phases;
 /// it provides cells, colors and the side tables.  runtime/ObjectModel.h
@@ -42,6 +46,7 @@
 #include "heap/PageTouch.h"
 #include "heap/Ref.h"
 #include "heap/SizeClasses.h"
+#include "support/ZeroedArray.h"
 
 namespace gengc {
 
@@ -134,7 +139,7 @@ public:
   /// Never dereference through this — all real accesses go through the
   /// atomic wordAt/loadColor accessors.
   const void *prefetchAddress(ObjectRef Ref) const {
-    return reinterpret_cast<const unsigned char *>(Arena.get()) + Ref;
+    return reinterpret_cast<const unsigned char *>(Arena.data()) + Ref;
   }
 
   /// Raw address of \p Ref's color-table byte, for prefetch hints only.
@@ -517,7 +522,10 @@ private:
   bool carveBlock(unsigned ClassIdx);
 
   HeapConfig Config;
-  std::unique_ptr<std::atomic<uint32_t>[]> Arena;
+  /// Mapped from zero pages: a block's memory is committed by the first
+  /// allocation that touches it, so resident memory follows the heap's use
+  /// rather than Config.HeapBytes.
+  ZeroedArray<std::atomic<uint32_t>> Arena;
 
   AtomicByteTable Colors;
   AtomicByteTable Remembered;

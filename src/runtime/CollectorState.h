@@ -113,13 +113,18 @@ struct CollectorState {
   /// (and about to mutate) is never trusted as stopped.
   std::atomic<uint64_t> StopEpoch{0};
 
-  /// Allocation budget (bytes since the last collection) past which
-  /// mutators stall while a cycle is in progress.  Concurrent collectors
-  /// need this back-pressure: a mutator fleet that outruns the collector
-  /// otherwise drives occupancy into permanent full-collection mode.  Set
-  /// once by the collector (the same value for both collectors, so
-  /// comparisons stay fair); UINT64_MAX disables throttling.
+  /// Allocation budget (bytes since the last completed collection) past
+  /// which mutators stall until the collector catches up (see
+  /// allocationBudgetHolds).  Concurrent collectors need this
+  /// back-pressure: a mutator fleet that outruns the collector otherwise
+  /// drives occupancy into permanent full-collection mode.  Set once by
+  /// the collector (the same value for both collectors, so comparisons
+  /// stay fair); UINT64_MAX disables throttling.
   std::atomic<uint64_t> ThrottleBytes{~0ull};
+
+  /// True from Collector::start to Collector::stop: a collector thread is
+  /// polling the trigger, so a cycle it calls for will come.
+  std::atomic<bool> CollectorRunning{false};
 
   /// Number of watchdog deadline expirations so far (handshake waits plus
   /// whole-cycle deadlines).  Bumped by the firing thread, read by tests
@@ -160,6 +165,20 @@ struct CollectorState {
   /// True while a collection cycle is in progress at all.
   bool isCollecting() const {
     return Phase.load(std::memory_order_relaxed) != GcPhase::Idle;
+  }
+
+  /// True while a mutator past ThrottleBytes must stall: during every
+  /// cycle, and under the generational barriers between cycles too, as
+  /// long as a collector thread runs.  Their trigger fires at one young
+  /// generation, below the budget, so a mutator stalled between cycles
+  /// waits for a cycle that is already due, and a collector thread that
+  /// wakes late cannot let the heap run dry.  The non-generational
+  /// trigger does not fire on allocation, so nothing may be coming there.
+  bool allocationBudgetHolds() const {
+    return isCollecting() ||
+           (Barrier.load(std::memory_order_relaxed) !=
+                BarrierKind::NonGenerational &&
+            CollectorRunning.load(std::memory_order_relaxed));
   }
 };
 

@@ -65,12 +65,13 @@ void Mutator::recordPause(uint64_t Nanos, bool StopTheWorld) {
 }
 
 void Mutator::maybeThrottleAllocation() {
-  // Allocation stall: while a cycle is in progress and this mutator fleet
-  // has already consumed its during-cycle budget, wait for the collector
-  // (cooperating, so handshakes keep making progress).  Checked on the
-  // cache-refill slow path only — every few hundred allocations.
+  // Allocation stall: once this mutator fleet has consumed its budget
+  // since the last completed cycle, wait (cooperating, so handshakes keep
+  // making progress) until a cycle completes and resets the clock, or the
+  // budget stops holding.  Checked on the cache-refill slow path only —
+  // every few hundred allocations.
   uint64_t Limit = State.ThrottleBytes.load(std::memory_order_relaxed);
-  if (!State.isCollecting() || H.allocatedSinceGcBytes() < Limit)
+  if (!State.allocationBudgetHolds() || H.allocatedSinceGcBytes() < Limit)
     return;
   uint64_t AllocatedAtStall = H.allocatedSinceGcBytes();
   uint64_t Start = nowNanos();
@@ -80,7 +81,7 @@ void Mutator::maybeThrottleAllocation() {
   // mutators does not spin the scheduler.  Cooperate before every sleep or
   // the cycle we are waiting out could not finish its handshakes.
   Backoff Back(/*InitialNanos=*/5 * 1000, /*CapNanos=*/200 * 1000);
-  while (State.isCollecting() &&
+  while (State.allocationBudgetHolds() &&
          H.allocatedSinceGcBytes() >= Limit) {
     cooperate();
     Back.pause();

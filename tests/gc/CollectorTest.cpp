@@ -122,6 +122,40 @@ TEST(Collector, MemoryPressureRunsFullCollectionsInsteadOfFailing) {
   EXPECT_GT(RT.collector().completedCycles(), 0u);
 }
 
+TEST(Collector, LateCollectorDoesNotRunTheHeapDry) {
+  // A 50 ms poll stands in for a collector thread that wakes late, while
+  // one mutator pushes 8 MB of garbage through a 2 MB heap.  Under the
+  // generational barriers the allocation budget (1.5 young generations)
+  // holds before the cycle begins, so the mutator stalls until the due
+  // partial cycle has run instead of exhausting the heap.  The
+  // non-generational trigger never fires here (FullFraction 1.1), so no
+  // cycle is coming: the mutator must not stall, and memory waits are what
+  // reclaim the heap.
+  for (CollectorChoice Choice :
+       {CollectorChoice::Generational, CollectorChoice::NonGenerational}) {
+    SCOPED_TRACE(Choice == CollectorChoice::Generational ? "generational"
+                                                         : "non-generational");
+    RuntimeConfig Config = manualConfig();
+    Config.Choice = Choice;
+    Config.Heap.HeapBytes = 2 << 20;
+    Config.Collector.Trigger.YoungBytes = 256 << 10;
+    Config.Collector.PollMicros = 50 * 1000;
+    Runtime RT(Config);
+    auto M = RT.attachMutator();
+    for (int I = 0; I < 200000; ++I) {
+      M->allocate(1, 24);
+      M->cooperate();
+    }
+    if (Choice == CollectorChoice::Generational) {
+      EXPECT_EQ(RT.collector().memoryWaits(), 0u);
+      EXPECT_GT(M->pauseStats().Count, 0u);
+    } else {
+      EXPECT_GT(RT.collector().memoryWaits(), 0u);
+      EXPECT_EQ(M->pauseStats().Count, 0u);
+    }
+  }
+}
+
 TEST(Collector, PendingFullDominatesPartial) {
   Runtime RT(manualConfig());
   auto M = RT.attachMutator();

@@ -6,14 +6,28 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdint>
+#include <fstream>
 #include <set>
 #include <thread>
 
+#include "core/Runtime.h"
 #include "heap/Heap.h"
+#include "workload/Runner.h"
 
 using namespace gengc;
 
 namespace {
+
+/// Resident memory of this process in bytes (/proc/self/statm).
+int64_t residentBytes() {
+  std::ifstream Statm("/proc/self/statm");
+  int64_t SizePages = 0, ResidentPages = 0;
+  Statm >> SizePages >> ResidentPages;
+  return ResidentPages * int64_t(sysconf(_SC_PAGESIZE));
+}
 
 HeapConfig smallConfig() {
   HeapConfig Config;
@@ -219,6 +233,39 @@ TEST(Heap, ConcurrentPopsYieldDisjointCells) {
   for (const auto &Cells : PerThread)
     for (ObjectRef Cell : Cells)
       EXPECT_TRUE(All.insert(Cell).second) << "cell handed out twice";
+}
+
+TEST(Heap, RuntimeConstructionCommitsAlmostNothing) {
+  // The arena and the side tables are mapped from zero pages, so a runtime
+  // with the paper's 32 MB heap commits only what construction touches;
+  // writing them at construction would commit about 40 MiB.
+  int64_t Before = residentBytes();
+  ASSERT_GT(Before, 0) << "/proc/self/statm unreadable";
+  Runtime RT(workload::makeConfig(CollectorChoice::Generational));
+  int64_t Grown = residentBytes() - Before;
+  EXPECT_LT(Grown, int64_t(2) << 20) << "resident memory grew by " << Grown
+                                     << " bytes";
+}
+
+TEST(Heap, LastEntryOfEveryTableRoundTrips) {
+  Heap H(smallConfig());
+  uint64_t LastWord = H.heapBytes() - 4;
+  H.wordAt(LastWord).store(0xCAFEF00D);
+  EXPECT_EQ(H.wordAt(LastWord).load(), 0xCAFEF00Du);
+
+  ObjectRef LastGranule = ObjectRef(H.heapBytes() - GranuleBytes);
+  H.storeColor(LastGranule, Color::Black);
+  EXPECT_EQ(H.loadColor(LastGranule), Color::Black);
+  H.rememberedFlags().entryFor(LastGranule).store(1);
+  EXPECT_EQ(H.rememberedFlags().entry(H.rememberedFlags().size() - 1).load(),
+            1);
+  H.ages().setAge(LastGranule, 3);
+  EXPECT_EQ(H.ages().ageOf(LastGranule), 3);
+
+  CardTable &Cards = H.cards();
+  Cards.markCard(H.heapBytes() - 1);
+  EXPECT_TRUE(Cards.isDirty(Cards.numCards() - 1));
+  EXPECT_TRUE(Cards.isSummaryDirty(Cards.numSummaryChunks() - 1));
 }
 
 } // namespace

@@ -38,8 +38,7 @@ struct PropertyParam {
   uint64_t Seed;
 };
 
-std::string paramName(const ::testing::TestParamInfo<PropertyParam> &Info) {
-  const PropertyParam &P = Info.param;
+std::string caseName(const PropertyParam &P) {
   std::string Name =
       P.Choice == CollectorChoice::Generational ? "Gen" : "Dlg";
   if (P.Aging)
@@ -48,6 +47,10 @@ std::string paramName(const ::testing::TestParamInfo<PropertyParam> &Info) {
   Name += "Seed" + std::to_string(P.Seed);
   return Name;
 }
+
+// gtest writes a parameter without a PrintTo into the test name as its raw
+// bytes, padding included, which change from build to build.
+void PrintTo(const PropertyParam &P, std::ostream *OS) { *OS << caseName(P); }
 
 class GcPropertyTest : public ::testing::TestWithParam<PropertyParam> {
 protected:
@@ -214,6 +217,6 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyParam{CollectorChoice::Generational, true, 6, 256, 7},
         PropertyParam{CollectorChoice::NonGenerational, false, 2, 16, 8},
         PropertyParam{CollectorChoice::NonGenerational, false, 2, 16, 9}),
-    paramName);
+    [](const auto &Info) { return caseName(Info.param); });
 
 } // namespace
