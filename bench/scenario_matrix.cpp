@@ -62,7 +62,6 @@ struct ConfigRow {
 const ConfigRow Configs[] = {
     {"base", [](RuntimeConfig &) {}},
     {"gct4", [](RuntimeConfig &C) { C.Collector.GcThreads = 4; }},
-    {"lazy", [](RuntimeConfig &C) { C.Collector.Sweep = SweepPolicy::Lazy; }},
     {"young8",
      [](RuntimeConfig &C) { C.Collector.Trigger.YoungBytes = 8ull << 20; }},
 };

@@ -12,8 +12,9 @@ using namespace gengc;
 
 std::string RuntimeConfig::validate() const {
   // Heap geometry: the arena is carved into fixed 64 KiB blocks.
-  if (Heap.HeapBytes < Heap::BlockBytes)
-    return "HeapBytes must be at least one block (64 KiB)";
+  if (Heap.HeapBytes < 2 * Heap::BlockBytes)
+    return "HeapBytes must be at least two blocks (128 KiB): block 0 is "
+           "reserved for the null reference";
   if (Heap.HeapBytes % Heap::BlockBytes != 0)
     return "HeapBytes must be a multiple of the 64 KiB block size";
 
@@ -93,12 +94,6 @@ std::string RuntimeConfig::validate() const {
     if (Collector.Watchdog.EscalateAfterFires < 1)
       return "Watchdog.EscalateAfterFires must be at least 1";
   }
-
-  // Sweep policy: the enum is part of the embedding API, so an
-  // out-of-range value (e.g. a memset configuration) is caught here rather
-  // than surfacing as an unswept heap.
-  if (unsigned(Collector.Sweep) > unsigned(SweepPolicy::Lazy))
-    return "Collector.Sweep is not a valid SweepPolicy";
   return std::string();
 }
 
@@ -168,8 +163,5 @@ MetricsSnapshot Runtime::metrics() const {
   const TraceSegmentPool &SegPool = Gc->traceEngine().segmentPool();
   M.TraceSegmentsAllocated = SegPool.allocatedSegments();
   M.TraceSegmentsPooled = SegPool.pooledSegments();
-  M.LazyBlocksPublished = TheHeap.lazyBlocksPublished();
-  M.LazyBlocksMutatorSwept = TheHeap.lazyBlocksMutatorSwept();
-  M.LazyBlocksResidueSwept = TheHeap.lazyBlocksResidueSwept();
   return M;
 }

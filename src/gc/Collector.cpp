@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "gc/LazySweep.h"
 #include "support/Backoff.h"
 #include "support/Timer.h"
 
@@ -34,7 +33,7 @@ Collector::Collector(Heap &H, CollectorState &S, MutatorRegistry &Registry,
       Handshakes(S, Registry), Pool(Config.GcThreads),
       TraceEngine(H, S, Pool),
       Trig(Config.Trigger, Mode != SweepMode::NonGenerational, H.heapBytes()),
-      Plan{Config.Sweep, Mode, Config.OldestAge},
+      Plan{Mode, Config.OldestAge},
       StopsTheWorld(StopsTheWorld) {
   Handshakes.setObsRing(Obs.laneRing(0));
   // The watchdog pointer must outlive the driver; the member copy of the
@@ -63,19 +62,9 @@ Collector::Collector(Heap &H, CollectorState &S, MutatorRegistry &Registry,
                           ? BarrierKind::Simple
                           : BarrierKind::NonGenerational,
                       std::memory_order_release);
-  if (lazySweep()) {
-    LazyEngine = std::make_unique<LazySweepEngine>(H, State, Plan, &Obs);
-    H.setLazySweeper(LazyEngine.get());
-  }
 }
 
-Collector::~Collector() {
-  stop();
-  // The heap may outlive this collector (tests construct collectors against
-  // a shared heap); never leave it pointing at a dead engine.
-  if (LazyEngine)
-    H.setLazySweeper(nullptr);
-}
+Collector::~Collector() { stop(); }
 
 CyclePhase Collector::tracePhase() {
   return {GcPhase::Trace, &CycleStats::TraceNanos,
@@ -91,24 +80,12 @@ CyclePhase Collector::tracePhase() {
             C.TraceSegmentsAcquired = R.SegmentsAcquired;
             C.TraceTermScanNanos = R.TermScanNanos;
             C.TraceWorkerNanos = std::move(R.WorkerNanos);
-            // A lazy generational cycle has no eager sweep to compute the
-            // live-after-minus-new estimate from; it falls back to bytes
-            // traced, like the non-generational collectors.
-            if (!generationalPlan() || lazySweep())
+            if (!generationalPlan())
               C.LiveEstimateBytes = R.BytesTraced;
           }};
 }
 
 CyclePhase Collector::sweepPhase() {
-  if (lazySweep())
-    return {GcPhase::PublishSweep, &CycleStats::SweepNanos,
-            [this](CycleStats &C) {
-              if (abortPhaseEntry(FaultSite::SweepAbort, GcPhase::PublishSweep))
-                return;
-              LazySweepEngine::PublishResult P = LazyEngine->publish();
-              C.LazyBlocksPublished = P.BlocksPublished;
-              P.Large.addTo(C);
-            }};
   return {GcPhase::Sweep, &CycleStats::SweepNanos,
           [this](CycleStats &C) {
             if (abortPhaseEntry(FaultSite::SweepAbort, GcPhase::Sweep))
@@ -120,17 +97,6 @@ CyclePhase Collector::sweepPhase() {
             if (generationalPlan())
               C.LiveEstimateBytes =
                   R.Total.LiveBytesAfter - R.Total.AllocColoredBytes;
-          }};
-}
-
-CyclePhase Collector::residuePhase() {
-  return {GcPhase::SweepResidue, &CycleStats::ResidueNanos,
-          [this](CycleStats &C) {
-            C.LazyBlocksResidueSwept = LazyEngine->drainResidue();
-            // Harvest everything swept since the previous publish — the
-            // residue just drained plus every mutator claim and idle drip
-            // in between (one-cycle-lag attribution).
-            LazyEngine->takeResults().addTo(C);
           }};
 }
 
@@ -258,13 +224,6 @@ std::function<void(GcPhase)> Collector::verifyHook(bool FullCycle) {
       Scope = VerifyScope::PostTraceFull;
     else if (Phase == GcPhase::Sweep)
       Scope = VerifyScope::CycleEnd;
-    else if (Phase == GcPhase::SweepResidue)
-      // Sound as a cycle-end boundary for the *previous* cycle: no toggle
-      // has happened since its publish, and the drain just retired every
-      // published block, so no reclaimable cell still carries the current
-      // clear color.  (PublishSweep deliberately stays Concurrent — its
-      // blocks are unswept by design.)
-      Scope = VerifyScope::CycleEnd;
     runVerifier(Scope);
   };
 }
@@ -358,16 +317,10 @@ void Collector::abortCycle(CycleStats &Cycle) {
     std::this_thread::yield();
   State.Grays.clear();
 
-  // 4. Lazy sweep: nothing was published this cycle (SweepAbort fires
-  //    before publish), but drain defensively so no needs-sweep block can
-  //    straddle the next cycle's toggle.
-  if (LazyEngine)
-    LazyEngine->drainResidue();
-
-  // 5. Restore colors under the current (kept) color assignment.
+  // 4. Restore colors under the current (kept) color assignment.
   abortRecolor();
 
-  // 6. The cycle consumed card / remembered-set information mid-flight;
+  // 5. The cycle consumed card / remembered-set information mid-flight;
   //    rather than reconstruct it, the next cycle traces everything.
   ForceFullNext = true;
 
@@ -379,7 +332,7 @@ void Collector::abortCycle(CycleStats &Cycle) {
                   AbortEscalation);
   }
 
-  // 7. Certify the unwound heap before declaring the abort complete.
+  // 6. Certify the unwound heap before declaring the abort complete.
   runVerifier(VerifyScope::Concurrent);
 }
 
@@ -395,11 +348,6 @@ CycleStats Collector::runCycle(CycleRequest Kind) {
   Cycle.GcWorkers = Pool.lanes();
 
   std::vector<CyclePhase> Phases;
-  // The residue of the previous publish must drain before this cycle's
-  // color toggle, so the phase goes first.  It contends only on list and
-  // stash mutexes, so it runs before the world stops, too.
-  if (lazySweep())
-    Phases.push_back(residuePhase());
   if (StopWorld) {
     Phases.push_back({GcPhase::Clear, &CycleStats::ClearNanos,
                       [this](CycleStats &C) {
@@ -596,15 +544,6 @@ void Collector::threadLoop() {
     }
     if (Kind == CycleRequest::None)
       Kind = Trig.evaluate(H);
-    if (Kind == CycleRequest::None && LazyEngine &&
-        H.needsSweepBlockCount() != 0) {
-      // Idle drip: a few residue blocks per poll tick, so reclamation
-      // terminates on a heap nobody allocates from.  UsedBytes only drops
-      // as blocks are swept, so re-evaluate the trigger once the residue
-      // is gone rather than starting a cycle off the stale figure.
-      LazyEngine->sweepSome(16);
-      continue;
-    }
     if (Kind != CycleRequest::None)
       runOneCycle(Kind);
   }

@@ -109,17 +109,7 @@ struct CollectorConfig {
   /// GENGC_VERIFY_HEAP environment variable; for debugging and the
   /// hardening tests — each boundary pass scans the whole heap.
   bool VerifyHeap = false;
-
-  /// When reclamation happens (gc/SweepPolicy.h): Eager keeps the
-  /// historical whole-heap Sweep phase; Lazy ends the cycle by publishing
-  /// blocks needs-sweep, letting mutators sweep on demand and the
-  /// collector drain the residue.  Combined with the collector's mode and
-  /// OldestAge into the single SweepPlan the Collector constructor builds
-  /// — the one place a sweep configuration is constructed.
-  SweepPolicy Sweep = SweepPolicy::Eager;
 };
-
-class LazySweepEngine;
 
 /// The DLG baseline and the STW comparator, and the base of the
 /// generational collector.
@@ -204,9 +194,8 @@ public:
 
 protected:
   /// Builds a collector whose sweep, write barrier and trigger follow
-  /// \p Mode: the sweep plan (and, under the lazy policy, the
-  /// LazySweepEngine installed as the heap's LazySweeper hook), the
-  /// barrier kind, and whether the trigger requests partial cycles.
+  /// \p Mode: the sweep plan, the barrier kind, and whether the trigger
+  /// requests partial cycles.
   Collector(Heap &H, CollectorState &S, MutatorRegistry &Registry,
             GlobalRoots &Roots, const CollectorConfig &Config, SweepMode Mode,
             bool StopsTheWorld);
@@ -234,14 +223,14 @@ protected:
 
   /// Unwinds an aborted cycle to a consistent state — quiesce barrier
   /// shading, finish the handshake protocol back to Async, discard the
-  /// gray work, drain lazy-sweep residue, restore every allocated cell to
-  /// a traced-looking color (abortRecolor), force the next cycle Full —
-  /// and certifies the result with a verifier pass.  The mid-cycle color
-  /// toggle (if it happened) is deliberately KEPT, not reverted: racing
-  /// allocations stamp the current allocation color, so reverting would
-  /// reopen the very create/sweep race the toggle closed; recoloring
-  /// forward under the current assignment is race-free.  Collector thread
-  /// only, with the phase pipeline already stopped.
+  /// gray work, restore every allocated cell to a traced-looking color
+  /// (abortRecolor), force the next cycle Full — and certifies the result
+  /// with a verifier pass.  The mid-cycle color toggle (if it happened) is
+  /// deliberately KEPT, not reverted: racing allocations stamp the current
+  /// allocation color, so reverting would reopen the very create/sweep
+  /// race the toggle closed; recoloring forward under the current
+  /// assignment is race-free.  Collector thread only, with the phase
+  /// pipeline already stopped.
   void abortCycle(CycleStats &Cycle);
 
   /// Collector-specific color restoration for abortCycle: the base
@@ -303,28 +292,14 @@ protected:
 
   /// The Trace phase of every cycle: traces the gray work with
   /// tracedBlackColor() and records the trace statistics.  Bytes traced
-  /// is the live estimate, except under an eager generational plan, where
+  /// is the live estimate, except under a generational plan, where
   /// sweepPhase computes it.
   CyclePhase tracePhase();
 
-  /// The reclamation phase of the cycle pipeline, from the plan: the
-  /// historical eager Sweep (whole-heap sweepParallel) or the lazy
-  /// PublishSweep.  Both charge CycleStats::SweepNanos, so eager-vs-lazy
-  /// benches compare the visible sweep-phase cost directly.  The eager
-  /// path of a generational plan sets the live estimate to LiveBytesAfter
-  /// minus AllocColoredBytes.
+  /// The Sweep phase of every cycle: the whole-heap sweepParallel under
+  /// the plan.  A generational plan sets the live estimate to
+  /// LiveBytesAfter minus AllocColoredBytes.
   CyclePhase sweepPhase();
-
-  /// The SweepResidue phase (lazy only): drains every block the previous
-  /// cycle published that no mutator claimed, and harvests the sweep
-  /// results accumulated since that publish into this cycle's stats
-  /// (one-cycle-lag attribution).  Runs FIRST in the pipeline — before
-  /// this cycle's color toggle, which keeps every block swept under its
-  /// publish epoch.
-  CyclePhase residuePhase();
-
-  /// True when this collector runs the lazy sweep policy.
-  bool lazySweep() const { return Plan.Policy == SweepPolicy::Lazy; }
 
   /// True for the generational collector's plans (either promotion mode).
   bool generationalPlan() const {
@@ -358,12 +333,8 @@ protected:
   Trigger Trig;
   GrayCounters CollectorGrays;
 
-  /// The validated reclamation strategy, fixed at construction.
+  /// The survivor semantics of every sweep, fixed at construction.
   SweepPlan Plan;
-  /// Per-block sweep engine; non-null only under SweepPolicy::Lazy.
-  /// Installed into the heap as its LazySweeper hook for the lifetime of
-  /// this collector (cleared in the destructor).
-  std::unique_ptr<LazySweepEngine> LazyEngine;
 
 private:
   void threadLoop();
@@ -378,8 +349,8 @@ private:
   /// means nothing a still-running thread allocates can carry the color
   /// the trace treats as done.  Plan.Mode decides the rest: a
   /// non-generational cycle is whole-heap, a generational one Partial
-  /// unless \p Kind or a stopped world makes it Full.  The residue, trace
-  /// and sweep phases are shared.
+  /// unless \p Kind or a stopped world makes it Full.  The trace and sweep
+  /// phases are shared.
   CycleStats runCycle(CycleRequest Kind);
 
   /// The STW comparator: every cycle runs with the world stopped.

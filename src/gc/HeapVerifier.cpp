@@ -137,21 +137,6 @@ void HeapVerifier::verifyBlockTable(Report &R) const {
 }
 
 void HeapVerifier::verifyFreeLists(Report &R) const {
-  // Deferred-sweep suspects: a central chain whose cells sit in an unswept
-  // (needs-sweep/sweeping) block violates the lazy-sweep invariant — such
-  // cells must be parked in the block's stash, never claimable.  The walk
-  // runs under the class list's mutex, where a racing publish (which drains
-  // the central lists to stashes under the same mutexes) may not have
-  // reached this class yet; record suspects here and confirm them after
-  // every lock is released, so confirmViolation never sleeps holding a
-  // list mutex.
-  struct Suspect {
-    unsigned ClassIdx;
-    ObjectRef ChainHead;
-    uint32_t BlockIdx;
-  };
-  std::vector<Suspect> Suspects;
-
   H.forEachFreeChain([&](unsigned ClassIdx, const Heap::CellChain &Chain) {
     uint32_t CellBytes = sizeClassBytes(ClassIdx);
     uint32_t Walked = 0;
@@ -177,9 +162,6 @@ void HeapVerifier::verifyFreeLists(Report &R) const {
         continue;
       }
       ++R.ChecksRun;
-      if (Desc.Sweep.load(std::memory_order_acquire) !=
-          uint8_t(BlockSweep::Swept))
-        Suspects.push_back({ClassIdx, Chain.Head, BlockIdx});
       if (H.loadColor(Cell) != Color::Blue)
         addViolation(R, format("class %u: free cell %llx is %s, not blue",
                                ClassIdx, (unsigned long long)Cell,
@@ -192,51 +174,6 @@ void HeapVerifier::verifyFreeLists(Report &R) const {
                              ClassIdx, unsigned(Chain.Count),
                              unsigned(Walked)));
   });
-
-  for (const Suspect &S : Suspects)
-    // Real only if the same chain is still parked centrally AND the block
-    // is still unswept — a publish mid-drain or a sweep mid-deposit clears
-    // one side or the other within a few rounds.
-    if (confirmViolation([&] {
-          return H.freeChainParked(S.ClassIdx, S.ChainHead) &&
-                 H.block(S.BlockIdx).Sweep.load(std::memory_order_acquire) !=
-                     uint8_t(BlockSweep::Swept);
-        }))
-      addViolation(R, format("class %u: central free chain %llx holds "
-                             "cells of unswept block %u",
-                             S.ClassIdx, (unsigned long long)S.ChainHead,
-                             unsigned(S.BlockIdx)));
-}
-
-void HeapVerifier::verifyDeferredSweep(Report &R) const {
-  if (!H.lazySweepEnabled())
-    return;
-  uint32_t Epoch = State.ColorEpoch.load(std::memory_order_acquire);
-  size_t NumBlocks = H.numBlocks();
-  for (size_t I = 0; I < NumBlocks; ++I) {
-    const BlockDescriptor &Desc = H.block(I);
-    if (Desc.State.load(std::memory_order_acquire) != BlockState::SizeClass)
-      continue;
-    ++R.ChecksRun;
-    if (Desc.Sweep.load(std::memory_order_acquire) ==
-        uint8_t(BlockSweep::Swept))
-      continue;
-    // A publish may be racing the epoch read; only a persistent mismatch
-    // (block stays unswept, stamp stays stale against a re-read epoch) is a
-    // protocol break.
-    if (confirmViolation([&] {
-          return Desc.Sweep.load(std::memory_order_acquire) !=
-                     uint8_t(BlockSweep::Swept) &&
-                 Desc.SweepEpoch.load(std::memory_order_acquire) !=
-                     State.ColorEpoch.load(std::memory_order_acquire);
-        }))
-      addViolation(R, format("block %zu: needs-sweep under epoch %u but the "
-                             "color-toggle epoch is %u",
-                             I,
-                             unsigned(Desc.SweepEpoch.load(
-                                 std::memory_order_relaxed)),
-                             unsigned(Epoch)));
-  }
 }
 
 void HeapVerifier::verifyColors(Report &R, VerifyScope Scope) const {
@@ -320,7 +257,6 @@ HeapVerifier::Report HeapVerifier::run(VerifyScope Scope,
   verifyFreeLists(R);
   verifyColors(R, Scope);
   verifyCardSummaries(R);
-  verifyDeferredSweep(R);
   if (Scope == VerifyScope::PostTraceFull)
     verifyNoClearRefsFromTraced(R, TracedBlack);
   return R;

@@ -100,12 +100,6 @@ private:
   void verifyColors(Report &R, VerifyScope Scope) const;
   void verifyCardSummaries(Report &R) const;
   void verifyNoClearRefsFromTraced(Report &R, Color TracedBlack) const;
-  /// Lazy-sweep invariant: every needs-sweep/sweeping block was published
-  /// under the CURRENT color-toggle epoch (the collector drains all residue
-  /// before toggling, so a stale epoch means a block could be swept under
-  /// the wrong clear color).  No-op under the eager policy — no block ever
-  /// leaves Swept.
-  void verifyDeferredSweep(Report &R) const;
 
   const Heap &H;
   const CollectorState &State;

@@ -13,16 +13,6 @@
 
 using namespace gengc;
 
-const char *gengc::sweepPolicyName(SweepPolicy Policy) {
-  switch (Policy) {
-  case SweepPolicy::Eager:
-    return "eager";
-  case SweepPolicy::Lazy:
-    return "lazy";
-  }
-  return "invalid";
-}
-
 void Sweeper::processSurvivor(ObjectRef Ref, Color C, uint32_t StorageBytes,
                               SweepMode Mode, uint8_t OldestAge,
                               Color AllocColor, Result &R) {
@@ -42,38 +32,6 @@ void Sweeper::processSurvivor(ObjectRef Ref, Color C, uint32_t StorageBytes,
     return;
   H.storeColor(Ref, AllocColor);
   Ages.setAge(Ref, uint8_t(Age + 1));
-}
-
-template <typename FreeCellFn>
-void Sweeper::sweepCells(SweepMode Mode, uint8_t OldestAge,
-                         const BlockDescriptor &Desc, uint64_t Base, Result &R,
-                         FreeCellFn OnFreed) {
-  PageTouchTracker &Pages = H.pages();
-  Color Clear = State.clearColor();
-  Color Alloc = State.allocationColor();
-  for (uint32_t Cell = 0; Cell < Desc.NumCells; ++Cell) {
-    ObjectRef Ref = ObjectRef(Base + uint64_t(Cell) * Desc.CellBytes);
-    Color C = H.loadColor(Ref, std::memory_order_acquire);
-    if (C == Color::Blue)
-      continue;
-    if (C == Clear) {
-      if (H.casColor(Ref, C, Color::Blue)) {
-        // Thread the cell into the caller's pending chain.  Writing the
-        // link touches the cell's arena page, like the paper's sweep.
-        Pages.touch(Region::Arena, Ref);
-        if (Mode == SweepMode::GenerationalAging)
-          H.ages().setAge(Ref, 0);
-        ++R.ObjectsFreed;
-        R.BytesFreed += Desc.CellBytes;
-        OnFreed(Ref);
-        continue;
-      }
-      // Lost the race to a late shade: the object floats into the next
-      // cycle as a live survivor.
-      C = H.loadColor(Ref);
-    }
-    processSurvivor(Ref, C, Desc.CellBytes, Mode, OldestAge, Alloc, R);
-  }
 }
 
 void Sweeper::sweepBlockRange(SweepMode Mode, uint8_t OldestAge,
@@ -111,38 +69,35 @@ void Sweeper::sweepBlockRange(SweepMode Mode, uint8_t OldestAge,
     Heap::CellChain &Chain = Chains[ClassIdx];
     Pages.touchRange(Region::ColorTable, Base >> GranuleShift,
                      Heap::BlockBytes >> GranuleShift);
-    sweepCells(Mode, OldestAge, Desc, Base, R, [&](ObjectRef Ref) {
-      H.setChainNext(Ref, Chain.Head);
-      Chain.Head = Ref;
-      if (++Chain.Count == H.config().ChainCells) {
-        H.pushFreeChain(ClassIdx, Chain);
-        Chain = Heap::CellChain();
+    for (uint32_t Cell = 0; Cell < Desc.NumCells; ++Cell) {
+      ObjectRef Ref = ObjectRef(Base + uint64_t(Cell) * Desc.CellBytes);
+      Color C = H.loadColor(Ref, std::memory_order_acquire);
+      if (C == Color::Blue)
+        continue;
+      if (C == Clear) {
+        if (H.casColor(Ref, C, Color::Blue)) {
+          // Thread the cell into this lane's pending chain.  Writing the
+          // link touches the cell's arena page, like the paper's sweep.
+          Pages.touch(Region::Arena, Ref);
+          if (Mode == SweepMode::GenerationalAging)
+            H.ages().setAge(Ref, 0);
+          ++R.ObjectsFreed;
+          R.BytesFreed += Desc.CellBytes;
+          H.setChainNext(Ref, Chain.Head);
+          Chain.Head = Ref;
+          if (++Chain.Count == H.config().ChainCells) {
+            H.pushFreeChain(ClassIdx, Chain);
+            Chain = Heap::CellChain();
+          }
+          continue;
+        }
+        // Lost the race to a late shade: the object floats into the next
+        // cycle as a live survivor.
+        C = H.loadColor(Ref);
       }
-    });
-  }
-}
-
-void Sweeper::sweepClaimedBlock(SweepMode Mode, uint8_t OldestAge,
-                                uint32_t BlockIdx, Result &R,
-                                std::vector<Heap::CellChain> &Out) {
-  const BlockDescriptor &Desc = H.block(BlockIdx);
-  GENGC_ASSERT(Desc.State.load(std::memory_order_acquire) ==
-                   BlockState::SizeClass,
-               "sweepClaimedBlock on a non-size-class block");
-  uint64_t Base = uint64_t(BlockIdx) << Heap::BlockShift;
-  H.pages().touchRange(Region::ColorTable, Base >> GranuleShift,
-                       Heap::BlockBytes >> GranuleShift);
-  Heap::CellChain Chain;
-  sweepCells(Mode, OldestAge, Desc, Base, R, [&](ObjectRef Ref) {
-    H.setChainNext(Ref, Chain.Head);
-    Chain.Head = Ref;
-    if (++Chain.Count == H.config().ChainCells) {
-      Out.push_back(Chain);
-      Chain = Heap::CellChain();
+      processSurvivor(Ref, C, Desc.CellBytes, Mode, OldestAge, Alloc, R);
     }
-  });
-  if (Chain.Count != 0)
-    Out.push_back(Chain);
+  }
 }
 
 void Sweeper::flushChains() {

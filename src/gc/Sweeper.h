@@ -34,9 +34,9 @@
 #ifndef GENGC_GC_SWEEPER_H
 #define GENGC_GC_SWEEPER_H
 
+#include <cstdint>
 #include <vector>
 
-#include "gc/SweepPolicy.h"
 #include "gc/WorkerPool.h"
 #include "heap/Heap.h"
 #include "obs/CycleStats.h"
@@ -45,9 +45,28 @@
 
 namespace gengc {
 
-/// One sweep engine per worker: each lane of sweepParallel (the collector's
-/// eager sweep) drives its own Sweeper over the block ranges it claims, and
-/// the lazy-sweep path constructs one transiently per claimed block.
+/// What the sweep does with survivors — the paper's three collector
+/// configurations (Sections 4, 5 and 6).
+enum class SweepMode : uint8_t {
+  /// DLG baseline: survivors keep their color; no generations.
+  NonGenerational,
+  /// Simple promotion: survivors stay black (tenured); no age tracking.
+  GenerationalSimple,
+  /// Aging (Section 6): young survivors are recolored to the allocation
+  /// color and age until they reach OldestAge, then tenure.
+  GenerationalAging,
+};
+
+/// A collector's survivor semantics, built once in the Collector
+/// constructor and handed to every sweep it runs.
+struct SweepPlan {
+  SweepMode Mode = SweepMode::NonGenerational;
+  /// Tenure threshold for GenerationalAging (ignored otherwise).
+  uint8_t OldestAge = 0;
+};
+
+/// One sweep engine per worker: each lane of sweepParallel drives its own
+/// Sweeper over the block ranges it claims.
 class Sweeper {
 public:
   struct Result {
@@ -87,16 +106,6 @@ public:
   void sweepBlockRange(SweepMode Mode, uint8_t OldestAge, size_t BlockBegin,
                        size_t BlockEnd, Result &R);
 
-  /// Per-block API for lazy sweep: sweeps one claimed (Sweeping) size-class
-  /// block from any thread context — a mutator refilling its cache or a
-  /// collector residue pass.  Freed cells are threaded into chains of at
-  /// most ChainCells appended to \p Out; nothing touches the central lists
-  /// (the caller owns the markBlockSwept-then-deposit ordering).  The exact
-  /// cell loop of sweepBlockRange, so late mutator shading CAS-races
-  /// freeing identically.
-  void sweepClaimedBlock(SweepMode Mode, uint8_t OldestAge, uint32_t BlockIdx,
-                         Result &R, std::vector<Heap::CellChain> &Out);
-
   /// Returns all pending chains to the heap's central lists.
   void flushChains();
 
@@ -105,14 +114,6 @@ private:
   void processSurvivor(ObjectRef Ref, Color C, uint32_t StorageBytes,
                        SweepMode Mode, uint8_t OldestAge, Color AllocColor,
                        Result &R);
-
-  /// The per-cell sweep loop shared by the range and claimed-block APIs:
-  /// CAS-frees clear cells (calling \p OnFreed for each) and classifies the
-  /// rest through processSurvivor.
-  template <typename FreeCellFn>
-  void sweepCells(SweepMode Mode, uint8_t OldestAge,
-                  const BlockDescriptor &Desc, uint64_t Base, Result &R,
-                  FreeCellFn OnFreed);
 
   Heap &H;
   CollectorState &State;
@@ -133,8 +134,8 @@ struct ParallelSweepResult {
 /// lane this degenerates to the exact sequential sweep (ascending block
 /// order, identical chain batching), which the determinism tests rely on.
 /// With \p Obs set and tracing enabled, each lane emits one SweepSpan for
-/// its share plus a SweepChunk span per claimed block range.  Eager policy
-/// only — the plan's Mode and OldestAge select the survivor semantics.
+/// its share plus a SweepChunk span per claimed block range.  The plan's
+/// Mode and OldestAge select the survivor semantics.
 ParallelSweepResult sweepParallel(Heap &H, CollectorState &S,
                                   GcWorkerPool &Pool, const SweepPlan &Plan,
                                   ObsRegistry *Obs = nullptr);

@@ -36,22 +36,6 @@ enum class BlockState : uint8_t {
   LargeCont,
 };
 
-/// Lazy-sweep lifecycle of a size-class block (SweepPolicy::Lazy only; under
-/// the eager policy every block stays Swept).  Published by the collector's
-/// PublishSweep phase, claimed by exactly one sweeper — a mutator refilling
-/// its cache or a collector residue pass — and marked Swept again before any
-/// of its cells re-enter a central free list.
-enum class BlockSweep : uint8_t {
-  /// No reclamation pending; cells may circulate through free lists.
-  Swept,
-  /// Published after a trace: dead cells are reclaimable, but nothing from
-  /// this block may enter a central free list until it is swept under the
-  /// epoch it was published with.
-  NeedsSweep,
-  /// Claimed by exactly one sweeper (Heap::claimNeedsSweepBlock).
-  Sweeping,
-};
-
 /// Side metadata for one 64 KiB block.
 ///
 /// Every State transition into or out of Free happens under the heap's
@@ -79,20 +63,6 @@ struct BlockDescriptor {
   uint32_t RunBlocks = 0;
   /// Block index of the run's first block (State == LargeCont).
   uint32_t RunStart = 0;
-
-  /// Lazy-sweep state (BlockSweep values, stored as the raw byte).
-  /// Transitions: Swept -> NeedsSweep (collector publish, release store
-  /// after SweepEpoch), NeedsSweep -> Sweeping (Heap::claimNeedsSweepBlock,
-  /// under the heap's needs-sweep mutex), Sweeping -> Swept (release store
-  /// *before* the claimant pushes the block's cells, so a chain observed in
-  /// a central list always belongs to a swept block).
-  std::atomic<uint8_t> Sweep{uint8_t(BlockSweep::Swept)};
-
-  /// Color-toggle epoch (CollectorState::ColorEpoch) this block was
-  /// published under.  A needs-sweep block must be swept before the next
-  /// toggle: the sweep interprets the clear color the publish fixed, so the
-  /// verifier checks SweepEpoch == ColorEpoch for every unswept block.
-  std::atomic<uint32_t> SweepEpoch{0};
 };
 
 /// Returns a printable name of \p State for diagnostics.

@@ -21,8 +21,6 @@ Heap::Heap(const HeapConfig &Config)
   GENGC_ASSERT((Config.HeapBytes & (BlockBytes - 1)) == 0,
                "heap size must be a multiple of the block size");
 
-  Stash.reset(new std::vector<CellChain>[Blocks.size()]);
-
   // Block 0 is reserved so that arena offset 0 can act as the null
   // reference.  Push the rest highest-first so pops come out in ascending
   // address order (low addresses used first, for determinism).  The stack
@@ -118,25 +116,6 @@ unsigned Heap::popFreeChains(unsigned ClassIdx, unsigned MaxChains,
   }
 
   if (Taken == 0) {
-    // Lazy sweep: before growing the heap's footprint, reclaim a block the
-    // last cycle published as needs-sweep.  The engine deposits the block's
-    // freed cells into the class's list, where the re-take below is the
-    // first to look; a swept block can still yield nothing (every cell
-    // live, or a racing refill took the deposit), so keep claiming until
-    // chains appear or the class's needs-sweep stock is dry.  Exhaustion —
-    // returning 0 below — is therefore only declared once lazy reclamation
-    // has nothing left either.
-    if (LazySweeper *Lazy = LazyHook.load(std::memory_order_acquire)) {
-      while (Taken == 0 && Lazy->sweepOneBlockFor(ClassIdx)) {
-        if (Stats)
-          ++Stats->LazySwept;
-        std::scoped_lock Locked(List.Mutex);
-        TakeLocked();
-      }
-    }
-  }
-
-  if (Taken == 0) {
     // The list is empty: carve a fresh block into it.  The list lock is
     // re-taken first and the inventory re-checked, so two racing refills
     // of the same class carve at most one block between them.
@@ -164,29 +143,6 @@ void Heap::pushFreeChain(unsigned ClassIdx, CellChain Chain) {
   if (Chain.Count == 0)
     return;
   uint64_t Bytes = uint64_t(Chain.Count) * sizeClassBytes(ClassIdx);
-  if (LazyHook.load(std::memory_order_relaxed) != nullptr) {
-    // Deferred-sweep routing: a chain whose block is published (or mid-
-    // sweep) must not re-enter the central lists until the block is swept —
-    // park it in the block's stash instead; the claimant re-deposits it.
-    // Under the lazy policy every chain is single-block (carve and the
-    // per-block sweep both produce such chains, and thread caches only ever
-    // shorten them), so the head cell identifies the chain's block.  The
-    // re-check under StashMutex pairs with the claimant's markBlockSwept-
-    // before-takePendingStash order: an append the claimant's take misses
-    // can only happen after the take released StashMutex, by which point
-    // this re-check observes Swept and pushes normally.
-    const BlockDescriptor &Desc = Blocks[blockIndexOf(Chain.Head)];
-    if (Desc.Sweep.load(std::memory_order_acquire) !=
-        uint8_t(BlockSweep::Swept)) {
-      std::scoped_lock Locked(StashMutex);
-      if (Desc.Sweep.load(std::memory_order_acquire) !=
-          uint8_t(BlockSweep::Swept)) {
-        Stash[blockIndexOf(Chain.Head)].push_back(Chain);
-        UsedBytes.fetch_sub(Bytes, std::memory_order_relaxed);
-        return;
-      }
-    }
-  }
   {
     CentralList &List = Lists[ClassIdx];
     std::scoped_lock Locked(List.Mutex);
@@ -195,111 +151,6 @@ void Heap::pushFreeChain(unsigned ClassIdx, CellChain Chain) {
   // UsedBytes can transiently underflow-race with popFreeChains only in the
   // sense of ordinary relaxed-counter imprecision; totals stay consistent.
   UsedBytes.fetch_sub(Bytes, std::memory_order_relaxed);
-}
-
-//===----------------------------------------------------------------------===//
-// Lazy sweep (SweepPolicy::Lazy).
-//===----------------------------------------------------------------------===//
-
-void Heap::publishNeedsSweep(uint32_t BlockIdx, uint32_t Epoch) {
-  BlockDescriptor &Desc = Blocks[BlockIdx];
-  GENGC_ASSERT(Desc.State.load(std::memory_order_acquire) ==
-                   BlockState::SizeClass,
-               "publishNeedsSweep on a non-size-class block");
-  GENGC_ASSERT(Desc.Sweep.load(std::memory_order_acquire) ==
-                   uint8_t(BlockSweep::Swept),
-               "publishNeedsSweep on an already-published block");
-  // Epoch before state: a reader that observes NeedsSweep sees the epoch
-  // the block must be swept under.
-  Desc.SweepEpoch.store(Epoch, std::memory_order_relaxed);
-  Desc.Sweep.store(uint8_t(BlockSweep::NeedsSweep), std::memory_order_release);
-}
-
-void Heap::enqueueNeedsSweep(uint32_t BlockIdx) {
-  std::scoped_lock Locked(NeedsSweepMutex);
-  NeedsSweepStacks[Blocks[BlockIdx].SizeClassIdx].push_back(BlockIdx);
-  NeedsSweepBlocks.fetch_add(1, std::memory_order_release);
-  LazyPublished.fetch_add(1, std::memory_order_relaxed);
-}
-
-uint32_t Heap::claimNeedsSweepBlock(unsigned ClassIdx) {
-  GENGC_ASSERT(ClassIdx < NumSizeClasses, "size class out of range");
-  std::scoped_lock Locked(NeedsSweepMutex);
-  std::vector<uint32_t> &Stack = NeedsSweepStacks[ClassIdx];
-  if (Stack.empty())
-    return 0;
-  uint32_t Idx = Stack.back();
-  Stack.pop_back();
-  // The pop is the block's only claim path, so it is still as published.
-  std::atomic<uint8_t> &Sweep = Blocks[Idx].Sweep;
-  GENGC_ASSERT(Sweep.load(std::memory_order_acquire) ==
-                   uint8_t(BlockSweep::NeedsSweep),
-               "needs-sweep stack holds a block that is not NeedsSweep");
-  Sweep.store(uint8_t(BlockSweep::Sweeping), std::memory_order_release);
-  SweepingBlocks.fetch_add(1, std::memory_order_release);
-  NeedsSweepBlocks.fetch_sub(1, std::memory_order_release);
-  return Idx;
-}
-
-void Heap::markBlockSwept(uint32_t BlockIdx) {
-  GENGC_ASSERT(Blocks[BlockIdx].Sweep.load(std::memory_order_acquire) ==
-                   uint8_t(BlockSweep::Sweeping),
-               "markBlockSwept on an unclaimed block");
-  Blocks[BlockIdx].Sweep.store(uint8_t(BlockSweep::Swept),
-                               std::memory_order_release);
-}
-
-void Heap::finishBlockSweep(bool MutatorContext) {
-  (MutatorContext ? LazyMutatorSwept : LazyResidueSwept)
-      .fetch_add(1, std::memory_order_relaxed);
-  // acq_rel: the residue drain spins on sweepingBlockCount() == 0 before
-  // the collector toggles colors, and must observe everything this sweep
-  // deposited.
-  SweepingBlocks.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void Heap::drainFreeListsToStashes() {
-  for (CentralList &List : Lists) {
-    std::scoped_lock Locked(List.Mutex);
-    size_t Keep = 0;
-    for (size_t I = 0; I < List.Chains.size(); ++I) {
-      CellChain Chain = List.Chains[I];
-      uint32_t BlockIdx = blockIndexOf(Chain.Head);
-      if (Blocks[BlockIdx].Sweep.load(std::memory_order_acquire) !=
-          uint8_t(BlockSweep::Swept)) {
-        std::scoped_lock StashLocked(StashMutex);
-        Stash[BlockIdx].push_back(Chain);
-      } else {
-        List.Chains[Keep++] = Chain;
-      }
-    }
-    List.Chains.resize(Keep);
-  }
-}
-
-std::vector<Heap::CellChain> Heap::takePendingStash(uint32_t BlockIdx) {
-  std::scoped_lock Locked(StashMutex);
-  std::vector<CellChain> Taken = std::move(Stash[BlockIdx]);
-  Stash[BlockIdx].clear();
-  return Taken;
-}
-
-void Heap::repushFreeChain(unsigned ClassIdx, CellChain Chain) {
-  GENGC_ASSERT(ClassIdx < NumSizeClasses, "size class out of range");
-  if (Chain.Count == 0)
-    return;
-  CentralList &List = Lists[ClassIdx];
-  std::scoped_lock Locked(List.Mutex);
-  List.Chains.push_back(Chain);
-}
-
-bool Heap::freeChainParked(unsigned ClassIdx, ObjectRef Head) const {
-  const CentralList &List = Lists[ClassIdx];
-  std::scoped_lock Locked(List.Mutex);
-  for (const CellChain &Chain : List.Chains)
-    if (Chain.Head == Head)
-      return true;
-  return false;
 }
 
 //===----------------------------------------------------------------------===//

@@ -34,7 +34,6 @@
 #define GENGC_HEAP_HEAP_H
 
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -74,22 +73,6 @@ struct HeapConfig {
   /// size adapts within [1, RefillBatchMax] from refill frequency; 1
   /// disables batching.
   uint32_t RefillBatchMax = 8;
-};
-
-/// Interface through which the heap's refill path reaches the gc layer's
-/// per-block sweep engine under SweepPolicy::Lazy.  The heap layer cannot
-/// depend on src/gc, so the collector installs an implementation
-/// (gc/LazySweep.h) via Heap::setLazySweeper; under a null hook (the
-/// default, and the eager policy) no allocation path sweeps.
-class LazySweeper {
-public:
-  virtual ~LazySweeper() = default;
-
-  /// Claims one needs-sweep block of \p ClassIdx, sweeps it, and deposits
-  /// the reclaimed cell chains into the class's central list — where the
-  /// calling refill is about to look.  Returns false when no needs-sweep
-  /// block of the class remains.
-  virtual bool sweepOneBlockFor(unsigned ClassIdx) = 0;
 };
 
 /// The arena plus its side tables and free-memory bookkeeping.
@@ -205,9 +188,6 @@ public:
   struct RefillStats {
     /// The class list's mutex was contended on entry.
     bool Contended = false;
-    /// Needs-sweep blocks claimed and swept inline by this refill (lazy
-    /// sweep only).
-    uint32_t LazySwept = 0;
   };
 
   /// Pops one chain of free cells of size class \p ClassIdx.  Returns an
@@ -243,94 +223,6 @@ public:
 
   /// Frees the large run whose first block is \p BlockIdx (sweep only).
   void freeLargeRun(uint32_t BlockIdx);
-
-  //===--------------------------------------------------------------------===
-  // Lazy sweep (SweepPolicy::Lazy).  The collector's PublishSweep phase
-  // stamps every size-class block NeedsSweep instead of sweeping it; a
-  // refill that finds the central lists dry claims a published block
-  // through the installed LazySweeper and sweeps it inline, and the
-  // collector drains whatever the mutators never claimed (the residue) at
-  // the start of the next cycle and while idle.  Protocol invariant: a
-  // block's cells enter a central free list only after the block's Sweep
-  // byte returns to Swept, and chains already parked when a block is
-  // published are moved into a per-block stash the claimant re-deposits —
-  // so a chain observed in a central list always belongs to a swept block
-  // (checked by gc/HeapVerifier).
-  //===--------------------------------------------------------------------===
-
-  /// Installs (or clears, with nullptr) the gc-layer sweep hook.  A non-null
-  /// hook enables the lazy routing in popFreeChains / pushFreeChain.
-  void setLazySweeper(LazySweeper *Hook) {
-    LazyHook.store(Hook, std::memory_order_seq_cst);
-  }
-  bool lazySweepEnabled() const {
-    return LazyHook.load(std::memory_order_relaxed) != nullptr;
-  }
-
-  /// Stamps size-class block \p BlockIdx needs-sweep under color-toggle
-  /// epoch \p Epoch (collector publish only).  The block is not claimable
-  /// until enqueueNeedsSweep links it; the gap lets the publisher drain the
-  /// central lists first.
-  void publishNeedsSweep(uint32_t BlockIdx, uint32_t Epoch);
-
-  /// Pushes published block \p BlockIdx onto its class's needs-sweep stack,
-  /// making it claimable (collector publish only, after the free-list
-  /// drain).
-  void enqueueNeedsSweep(uint32_t BlockIdx);
-
-  /// Pops one needs-sweep block of \p ClassIdx and marks it Sweeping; the
-  /// same critical section counts it in sweepingBlockCount(), so a block is
-  /// always either on a stack or counted.  Returns 0 when none remains.
-  /// The caller must sweep the block and call markBlockSwept +
-  /// finishBlockSweep.
-  uint32_t claimNeedsSweepBlock(unsigned ClassIdx);
-
-  /// Marks claimed block \p BlockIdx swept.  Must precede pushing any of
-  /// its cells to a central list, and precede takePendingStash (the order
-  /// that makes a racing pushFreeChain either stash before the take or see
-  /// Swept and push normally — never strand a chain).
-  void markBlockSwept(uint32_t BlockIdx);
-
-  /// Retires one claimed block after its cells are deposited.
-  /// \p MutatorContext selects which counter the sweep is attributed to.
-  void finishBlockSweep(bool MutatorContext);
-
-  /// Moves every centrally-parked chain whose block is not Swept into that
-  /// block's stash (collector publish only).  Under the lazy policy every
-  /// chain holds cells of a single block (carve and per-block sweep both
-  /// produce single-block chains), so the chain's head identifies it.
-  void drainFreeListsToStashes();
-
-  /// Takes (and empties) block \p BlockIdx's stash of parked chains.
-  std::vector<CellChain> takePendingStash(uint32_t BlockIdx);
-
-  /// Re-deposits a stash chain into the central list of \p ClassIdx.
-  /// Unlike pushFreeChain this does not touch UsedBytes: stashed cells
-  /// were already uncharged when they first left circulation.
-  void repushFreeChain(unsigned ClassIdx, CellChain Chain);
-
-  /// True if a chain with head \p Head is currently parked in the central
-  /// list of \p ClassIdx (verifier re-confirmation; takes the list mutex).
-  bool freeChainParked(unsigned ClassIdx, ObjectRef Head) const;
-
-  /// Blocks currently published and unclaimed / currently claimed mid-sweep.
-  uint64_t needsSweepBlockCount() const {
-    return NeedsSweepBlocks.load(std::memory_order_acquire);
-  }
-  uint64_t sweepingBlockCount() const {
-    return SweepingBlocks.load(std::memory_order_acquire);
-  }
-
-  /// Lifetime lazy-sweep counters (drive MetricsSnapshot).
-  uint64_t lazyBlocksPublished() const {
-    return LazyPublished.load(std::memory_order_relaxed);
-  }
-  uint64_t lazyBlocksMutatorSwept() const {
-    return LazyMutatorSwept.load(std::memory_order_relaxed);
-  }
-  uint64_t lazyBlocksResidueSwept() const {
-    return LazyResidueSwept.load(std::memory_order_relaxed);
-  }
 
   //===--------------------------------------------------------------------===
   // Geometry.
@@ -553,34 +445,6 @@ private:
   std::atomic<uint64_t> Refills{0};
   std::atomic<uint64_t> Carves{0};
   std::atomic<uint64_t> Contentions{0};
-
-  //===-- Lazy sweep ------------------------------------------------------===
-
-  /// The installed gc-layer sweep engine, or null (eager policy).
-  std::atomic<LazySweeper *> LazyHook{nullptr};
-
-  /// Guards NeedsSweepStacks and the claim that pops from them; never held
-  /// across any other lock acquisition.
-  std::mutex NeedsSweepMutex;
-
-  /// Per-size-class stacks of published, unclaimed block indices.  A block
-  /// is pushed once per publish and popped by the claim that sweeps it.
-  std::vector<uint32_t> NeedsSweepStacks[NumSizeClasses];
-
-  /// Guards every per-block stash in Stash.  The publish drain takes it
-  /// inside a class list's mutex, pushFreeChain's routing alone; it is never
-  /// held across any other lock acquisition.
-  mutable std::mutex StashMutex;
-
-  /// Per-block stashes of chains parked centrally when the block was
-  /// published (one vector per block; see drainFreeListsToStashes).
-  std::unique_ptr<std::vector<CellChain>[]> Stash;
-
-  std::atomic<uint64_t> NeedsSweepBlocks{0};
-  std::atomic<uint64_t> SweepingBlocks{0};
-  std::atomic<uint64_t> LazyPublished{0};
-  std::atomic<uint64_t> LazyMutatorSwept{0};
-  std::atomic<uint64_t> LazyResidueSwept{0};
 };
 
 } // namespace gengc

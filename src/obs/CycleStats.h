@@ -58,8 +58,8 @@ struct CycleStats {
   /// Portion of MarkNanos spent inside the card-scan sharding itself
   /// (ClearCards proper, without the toggle or handshakes).
   uint64_t CardScanNanos = 0;
-  /// SweepResidue phase (lazy policy): draining the blocks the *previous*
-  /// cycle published that no mutator claimed.  0 under the eager policy.
+  /// Always 0: every cycle reclaims inside its Sweep phase, so no residue
+  /// is left for the next one.  Kept because gcperf reports it.
   uint64_t ResidueNanos = 0;
 
   // Parallel engine accounting.
@@ -107,14 +107,6 @@ struct CycleStats {
   uint64_t BytesFreed = 0;
   uint64_t LiveObjectsAfter = 0;
   uint64_t LiveBytesAfter = 0;
-  /// Lazy policy: size-class blocks this cycle's PublishSweep deferred, and
-  /// residue blocks its SweepResidue phase swept (published by the
-  /// *previous* cycle).  Both 0 under the eager policy.  Note the freed /
-  /// live-after counters above cover only what this cycle itself swept —
-  /// under the lazy policy that is large runs plus the previous publish's
-  /// harvest, one cycle late.
-  uint64_t LazyBlocksPublished = 0;
-  uint64_t LazyBlocksResidueSwept = 0;
 
   // Cycle recovery (DESIGN.md §19).
   /// This cycle was aborted mid-flight and unwound to pre-cycle state: its

@@ -55,12 +55,6 @@ const char *gengc::obsEventKindName(ObsEventKind Kind) {
     return "VerifyPass";
   case ObsEventKind::ListContention:
     return "ListContention";
-  case ObsEventKind::SweepDeferred:
-    return "SweepDeferred";
-  case ObsEventKind::LazySweepClaim:
-    return "LazySweepClaim";
-  case ObsEventKind::SweepResidue:
-    return "SweepResidue";
   case ObsEventKind::CycleAbort:
     return "CycleAbort";
   case ObsEventKind::DegradedMode:

@@ -92,17 +92,6 @@ enum class ObsEventKind : uint8_t {
   /// contended (had to block behind another refill or a sweep flush).
   /// Arg0 = size-class index.
   ListContention,
-  /// Instant, collector ring: a PublishSweep phase deferred reclamation
-  /// (SweepPolicy::Lazy).  Arg0 = size-class blocks published needs-sweep,
-  /// Arg1 = the color-toggle epoch they were published under.
-  SweepDeferred,
-  /// Instant, mutator ring: a cache refill found its class list empty and
-  /// swept published block(s) inline.  Arg0 = size-class index, Arg1 =
-  /// blocks swept by this refill.
-  LazySweepClaim,
-  /// Span, collector ring: a residue pass (idle drip or the SweepResidue
-  /// phase) swept blocks no mutator claimed.  Arg0 = blocks swept.
-  SweepResidue,
   /// Instant, collector ring: an on-the-fly cycle was aborted mid-flight
   /// and unwound to a consistent pre-cycle state (watchdog escalation or
   /// an injected TraceAbort/SweepAbort fault).  Arg0 = GcPhase the abort

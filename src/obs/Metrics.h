@@ -75,14 +75,6 @@ struct MetricsSnapshot {
   /// Segments currently resting on the pool free list (gauge).
   uint64_t TraceSegmentsPooled = 0;
 
-  //===-- Lazy sweep (SweepPolicy::Lazy; all 0 under Eager) ---------------===
-  /// Size-class blocks published needs-sweep by PublishSweep phases.
-  uint64_t LazyBlocksPublished = 0;
-  /// Published blocks claimed and swept inline by mutator cache refills.
-  uint64_t LazyBlocksMutatorSwept = 0;
-  /// Published blocks swept by the collector (idle drip + SweepResidue).
-  uint64_t LazyBlocksResidueSwept = 0;
-
   //===-- Cycle recovery (WatchdogPolicy::Escalate; DESIGN.md §19) --------===
   /// Cycles aborted mid-flight and unwound to pre-cycle state.
   uint64_t CycleAborts = 0;
@@ -194,9 +186,6 @@ struct MetricsSnapshot {
     TraceTermScanNanos += Other.TraceTermScanNanos;
     TraceSegmentsAllocated += Other.TraceSegmentsAllocated;
     TraceSegmentsPooled += Other.TraceSegmentsPooled;
-    LazyBlocksPublished += Other.LazyBlocksPublished;
-    LazyBlocksMutatorSwept += Other.LazyBlocksMutatorSwept;
-    LazyBlocksResidueSwept += Other.LazyBlocksResidueSwept;
     CycleAborts += Other.CycleAborts;
     DegradedCycles += Other.DegradedCycles;
     ForcedMutators += Other.ForcedMutators;

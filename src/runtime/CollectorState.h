@@ -45,12 +45,6 @@ enum class GcPhase : uint8_t {
   Mark,
   Trace,
   Sweep,
-  /// Lazy sweep (SweepPolicy::Lazy): the phase that replaces Sweep —
-  /// publishes every size-class block needs-sweep instead of walking it.
-  PublishSweep,
-  /// Lazy sweep: drains blocks the mutators have not claimed since the
-  /// previous publish.  Runs at the *start* of a cycle, before the toggle.
-  SweepResidue,
 };
 
 /// Which mutator-side barrier code is in effect.
@@ -131,13 +125,6 @@ struct CollectorState {
   /// and the stats report.
   std::atomic<uint64_t> WatchdogFires{0};
 
-  /// Number of color toggles so far.  Lazy sweep stamps each published
-  /// block with this epoch; the block must be swept — its clear-colored
-  /// cells freed under the meaning the publish fixed — before the next
-  /// toggle reinterprets the colors (verified by HeapVerifier's
-  /// deferred-sweep invariant).
-  std::atomic<uint32_t> ColorEpoch{0};
-
   /// Swaps the allocation and clear colors (Section 5's toggle).  Only the
   /// collector calls this, at most once per cycle, so plain exchanged
   /// stores on the two atomics suffice.
@@ -146,7 +133,6 @@ struct CollectorState {
     Color Clear = ClearColor.load(std::memory_order_relaxed);
     ClearColor.store(Alloc, std::memory_order_seq_cst);
     AllocationColor.store(Clear, std::memory_order_seq_cst);
-    ColorEpoch.fetch_add(1, std::memory_order_seq_cst);
   }
 
   Color allocationColor() const {

@@ -213,13 +213,8 @@ bool Mutator::refillCache(unsigned ClassIdx, bool MayBlock) {
           Cells += Chains[I].Count;
         }
         LastRefillCells[ClassIdx] = Cells;
-        if (Ring) {
-          if (Stats.Contended)
-            Ring->instant(ObsEventKind::ListContention, nowNanos(), ClassIdx);
-          if (Stats.LazySwept != 0)
-            Ring->instant(ObsEventKind::LazySweepClaim, nowNanos(), ClassIdx,
-                          Stats.LazySwept);
-        }
+        if (Ring && Stats.Contended)
+          Ring->instant(ObsEventKind::ListContention, nowNanos(), ClassIdx);
         return true;
       },
       "heap exhausted and no memory waiter installed",

@@ -33,12 +33,9 @@ void GlobalRoots::set(size_t Index, ObjectRef Value) {
   }
   // Shade the stored value while the collector is establishing or tracing
   // its snapshot.  During sweep (and idle) no shading is needed: the trace
-  // is complete and the value is already protected — the same holds for
-  // the lazy policy's post-trace PublishSweep and pre-toggle SweepResidue.
+  // is complete and the value is already protected.
   GcPhase Phase = State.Phase.load(std::memory_order_acquire);
-  if (Phase != GcPhase::Idle && Phase != GcPhase::Sweep &&
-      Phase != GcPhase::PublishSweep && Phase != GcPhase::SweepResidue &&
-      Value != NullRef) {
+  if (Phase != GcPhase::Idle && Phase != GcPhase::Sweep && Value != NullRef) {
     markGrayClearOnly(H, State, Value, StoreShadeCounters);
     // Also cover values carrying the allocation color during the toggle
     // window, mirroring the Figure 1 exception.

@@ -56,8 +56,8 @@ enum class FaultSite : uint8_t {
   /// Collector trace-phase entry: a firing aborts the on-the-fly cycle
   /// before any object is traced (exercises Collector::abortCycle).
   TraceAbort,
-  /// Collector sweep/publish-phase entry: a firing aborts the cycle before
-  /// any cell is reclaimed.
+  /// Collector sweep-phase entry: a firing aborts the cycle before any
+  /// cell is reclaimed.
   SweepAbort,
 };
 

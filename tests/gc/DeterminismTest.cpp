@@ -214,7 +214,7 @@ struct GoldenCycle {
   uint64_t Counts[std::size(GoldenFields)];
 };
 
-// The per-cycle counts of runWorkload at one lane under the eager sweep.
+// The per-cycle counts of runWorkload at one lane.
 // The other tests here compare runs with each other, so a change that
 // alters what *every* run collects passes them; this table catches it.
 // Re-record it only for a change meant to collect differently.  The heap

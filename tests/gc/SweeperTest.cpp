@@ -2,8 +2,8 @@
 //
 // Part of the gengc project (PLDI 2000 generational on-the-fly GC repro).
 //
-// The eager sweep on one lane: sweepParallel over a one-lane GcWorkerPool,
-// the configuration every collector runs by default.
+// The sweep on one lane: sweepParallel over a one-lane GcWorkerPool, the
+// configuration every collector runs by default.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,12 +28,10 @@ struct SweeperTest : ::testing::Test {
     return Ref;
   }
 
-  /// One eager whole-heap sweep; \p OldestAge is the tenuring threshold
-  /// (aging mode only).
+  /// One whole-heap sweep; \p OldestAge is the tenuring threshold (aging
+  /// mode only).
   Sweeper::Result sweep(SweepMode Mode, uint8_t OldestAge) {
-    return sweepParallel(H, State, Pool,
-                         SweepPlan{SweepPolicy::Eager, Mode, OldestAge})
-        .Total;
+    return sweepParallel(H, State, Pool, SweepPlan{Mode, OldestAge}).Total;
   }
 
   Heap H;

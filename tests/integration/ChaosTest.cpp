@@ -237,10 +237,12 @@ TEST_F(ChaosTest, SeededCampaignKeepsChecksums) {
 }
 
 TEST_F(ChaosTest, AlternateConfigurationsSurviveOneSeed) {
-  // One campaign seed against the aging and lazy-sweep variants, so the
-  // abort unwind's age bumping and residue handling see chaos too, and
-  // against the DLG baseline (the base abortRecolor) and the STW
-  // comparator, whose stopped-world cycles must never abort.
+  // One campaign seed against the aging and remembered-set variants, so the
+  // abort unwind's age bumping and the Section 3.1 barrier see chaos too,
+  // and against the DLG baseline (the base abortRecolor) and the STW
+  // comparator, whose stopped-world cycles must never abort.  Each
+  // on-the-fly variant's seed aborts at least one cycle, so the unwind runs.
+  constexpr uint64_t Seeds[] = {0xa61e, 0xa622, 0xa620, 0xa621};
   for (int Variant = 0; Variant < 4; ++Variant) {
     RuntimeConfig Config = chaosConfig();
     switch (Variant) {
@@ -249,7 +251,7 @@ TEST_F(ChaosTest, AlternateConfigurationsSurviveOneSeed) {
       Config.Collector.OldestAge = 2;
       break;
     case 1:
-      Config.Collector.Sweep = SweepPolicy::Lazy;
+      Config.Collector.RememberedSets = true;
       break;
     case 2:
       Config.Choice = CollectorChoice::NonGenerational;
@@ -261,13 +263,14 @@ TEST_F(ChaosTest, AlternateConfigurationsSurviveOneSeed) {
     SCOPED_TRACE(::testing::Message() << "variant " << Variant);
     FaultInjector::disarmAll();
     uint64_t FaultFree = runCampaignWorkload(Config);
-    armFaultTable(0xa61e + Variant);
+    armFaultTable(Seeds[Variant]);
     uint64_t Aborts = 0;
     uint64_t Got = runCampaignWorkload(Config, &Aborts);
     ASSERT_EQ(Got, FaultFree);
-    if (Config.Choice == CollectorChoice::StopTheWorld) {
+    if (Config.Choice == CollectorChoice::StopTheWorld)
       EXPECT_EQ(Aborts, 0u) << "a stopped-world cycle has no unwind";
-    }
+    else
+      EXPECT_GT(Aborts, 0u) << "the seed no longer aborts a cycle";
   }
 }
 

@@ -37,7 +37,11 @@ TEST(ConfigValidateTest, AllShippedCollectorChoicesValidate) {
 TEST(ConfigValidateTest, HeapGeometryIsChecked) {
   RuntimeConfig Config;
   Config.Heap.HeapBytes = 4096; // below one 64 KiB block
-  EXPECT_NE(Config.validate().find("at least one block"), std::string::npos);
+  EXPECT_NE(Config.validate().find("block 0 is reserved"), std::string::npos);
+
+  Config = RuntimeConfig();
+  Config.Heap.HeapBytes = 64 << 10; // one block, and block 0 is reserved
+  EXPECT_NE(Config.validate().find("block 0 is reserved"), std::string::npos);
 
   Config = RuntimeConfig();
   Config.Heap.HeapBytes = (1ull << 20) + 4096; // not block aligned

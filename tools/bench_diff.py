@@ -147,7 +147,6 @@ def diff_scenario_matrix(base_data, cur_data, args):
 # skipped, so a new baseline missing its gate is visible.
 CHECK_TARGETS = {
     "BENCH_alloc_scale.json": "bench_alloc_scale_check",
-    "BENCH_lazy_sweep.json": "bench_lazy_sweep_check",
     "BENCH_trace_scale.json": "bench_trace_check",
     "BENCH_scenario_matrix.json": "bench_scenario_check",
 }
